@@ -1401,7 +1401,8 @@ let scale_bench () =
      chain), measure control-plane writes/sec with live index\n\
      maintenance, then packets/sec through the staged evaluator\n\
      (Compile) and the linear-scan interpreter (Interp) on the same\n\
-     state. Gate: >= 10x packets/sec at the 100k tier.\n\n";
+     state, with the compiled cost per packet in microseconds and\n\
+     minor-heap words. Gate: >= 10x packets/sec at the 100k tier.\n\n";
   let program = Middleblock.program in
   let tiers =
     if !quick then [ 1_000; 10_000; 100_000 ]
@@ -1421,9 +1422,9 @@ let scale_bench () =
           Switchv_packet.Packet.udp_header ~src_port:53 ~dst_port:443 () ];
         payload = "scale" }
   in
-  Printf.printf "%-9s %12s %14s %14s %9s\n" "entries" "writes/s"
-    "pps compiled" "pps interp" "speedup";
-  Printf.printf "%s\n" (String.make 62 '-');
+  Printf.printf "%-9s %12s %14s %9s %11s %14s %9s\n" "entries" "writes/s"
+    "pps compiled" "us/pkt" "words/pkt" "pps interp" "speedup";
+  Printf.printf "%s\n" (String.make 84 '-');
   let rows =
     List.map
       (fun n ->
@@ -1447,12 +1448,15 @@ let scale_bench () =
         let writes_per_s = float_of_int (List.length routes) /. t_write in
         (* Distinct dsts spread over the installed tier, reused cyclically. *)
         let probes = Array.init 256 (fun k -> mk_packet (k * (n / 256 + 1) mod n)) in
+        (* Packets per second and minor-heap words per packet. *)
         let pps run reps =
+          let w0 = Gc.minor_words () in
           let t0 = now () in
           for k = 0 to reps - 1 do
             ignore (run cfg ~ingress_port:1 probes.(k mod 256))
           done;
-          float_of_int reps /. (now () -. t0)
+          let dt = now () -. t0 in
+          (float_of_int reps /. dt, (Gc.minor_words () -. w0) /. float_of_int reps)
         in
         let reps_c = if !quick then 5_000 else 20_000 in
         let reps_i =
@@ -1461,20 +1465,22 @@ let scale_bench () =
           else if n <= 100_000 then 20
           else 3
         in
-        let pps_compiled = pps Compile.run reps_c in
-        let pps_interp = pps Interp.run reps_i in
+        let pps_compiled, words_per_pkt = pps Compile.run reps_c in
+        let pps_interp, _ = pps Interp.run reps_i in
+        let us_per_pkt = 1e6 /. pps_compiled in
         let speedup = pps_compiled /. pps_interp in
-        Printf.printf "%-9d %12.0f %14.0f %14.1f %8.1fx\n%!" n writes_per_s
-          pps_compiled pps_interp speedup;
-        (n, writes_per_s, pps_compiled, pps_interp, speedup))
+        Printf.printf "%-9d %12.0f %14.0f %9.1f %11.0f %14.1f %8.1fx\n%!" n writes_per_s
+          pps_compiled us_per_pkt words_per_pkt pps_interp speedup;
+        (n, writes_per_s, pps_compiled, us_per_pkt, words_per_pkt, pps_interp, speedup))
       tiers
   in
   let json =
-    let row (n, w, pc, pi, sp) =
+    let row (n, w, pc, us, words, pi, sp) =
       Printf.sprintf
         "    {\"entries\": %d, \"writes_per_s\": %.0f, \"pps_compiled\": \
-         %.0f, \"pps_interp\": %.1f, \"speedup\": %.1f}"
-        n w pc pi sp
+         %.0f, \"us_per_pkt\": %.1f, \"words_per_pkt\": %.0f, \"pps_interp\": \
+         %.1f, \"speedup\": %.1f}"
+        n w pc us words pi sp
     in
     Printf.sprintf
       "{\n  \"artifact\": \"scale\",\n  \"tiers\": [\n%s\n  ]\n}\n"
@@ -1485,7 +1491,7 @@ let scale_bench () =
   close_out oc;
   Printf.printf "wrote BENCH_scale.json\n";
   List.iter
-    (fun (n, _, pc, pi, sp) ->
+    (fun (n, _, pc, _, _, pi, sp) ->
       if n = 100_000 && sp < 10.0 then
         failwith
           (Printf.sprintf

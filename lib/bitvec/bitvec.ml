@@ -138,16 +138,13 @@ let is_ones t =
 
 let to_bin_string t = String.init t.width (fun i -> if bit t (t.width - 1 - i) then '1' else '0')
 
+(* A hex digit never straddles two 16-bit limbs, and bits above the width
+   are already zero. *)
 let to_hex_string t =
   let ndigits = (t.width + 3) / 4 in
   String.init ndigits (fun i ->
       let pos = (ndigits - 1 - i) * 4 in
-      let d = ref 0 in
-      for b = 3 downto 0 do
-        d := !d lsl 1;
-        if pos + b < t.width && bit t (pos + b) then incr d
-      done;
-      "0123456789abcdef".[!d])
+      "0123456789abcdef".[(t.limbs.(pos / limb_bits) lsr (pos mod limb_bits)) land 0xF])
 
 let popcount t =
   Array.fold_left
@@ -180,21 +177,31 @@ let logor a b = map2 "logor" ( lor ) a b
 let logxor a b = map2 "logxor" ( lxor ) a b
 let lognot a = normalize a.width (Array.map (fun l -> lnot l land limb_mask) a.limbs)
 
+(* [read16 limbs pos] is the 16-bit window of bits [pos .. pos+15] of a
+   limb array; bits below 0 or above the last limb read as zero. Every
+   limb-level structural operation below is a loop of such windows. *)
+let read16 limbs pos =
+  if pos <= -limb_bits then 0
+  else if pos < 0 then (limbs.(0) lsl -pos) land limb_mask
+  else begin
+    let j = pos / limb_bits and k = pos mod limb_bits in
+    let n = Array.length limbs in
+    let lo = if j < n then limbs.(j) lsr k else 0 in
+    if k = 0 then lo
+    else
+      let hi = if j + 1 < n then limbs.(j + 1) lsl (limb_bits - k) else 0 in
+      (lo lor hi) land limb_mask
+  end
+
 let shift_left t k =
   if k < 0 then invalid_arg "Bitvec.shift_left: negative shift";
-  let limbs = Array.make (Array.length t.limbs) 0 in
-  for i = t.width - 1 downto k do
-    if bit t (i - k) then set_bit limbs i true
-  done;
-  normalize t.width limbs
+  normalize t.width
+    (Array.init (Array.length t.limbs) (fun i -> read16 t.limbs ((i * limb_bits) - k)))
 
 let shift_right t k =
   if k < 0 then invalid_arg "Bitvec.shift_right: negative shift";
-  let limbs = Array.make (Array.length t.limbs) 0 in
-  for i = 0 to t.width - 1 - k do
-    if bit t (i + k) then set_bit limbs i true
-  done;
-  normalize t.width limbs
+  normalize t.width
+    (Array.init (Array.length t.limbs) (fun i -> read16 t.limbs ((i * limb_bits) + k)))
 
 let add a b =
   if a.width <> b.width then invalid_arg "Bitvec.add: width mismatch";
@@ -232,23 +239,16 @@ let mul a b =
 
 let concat hi lo =
   let w = hi.width + lo.width in
-  let limbs = Array.make (limbs_for w) 0 in
-  for i = 0 to lo.width - 1 do
-    if bit lo i then set_bit limbs i true
-  done;
-  for i = 0 to hi.width - 1 do
-    if bit hi i then set_bit limbs (lo.width + i) true
-  done;
-  normalize w limbs
+  let nlo = Array.length lo.limbs in
+  normalize w
+    (Array.init (limbs_for w) (fun i ->
+         (if i < nlo then lo.limbs.(i) else 0)
+         lor read16 hi.limbs ((i * limb_bits) - lo.width)))
 
 let extract ~hi ~lo t =
   if lo < 0 || hi >= t.width || hi < lo then invalid_arg "Bitvec.extract: bad range";
   let w = hi - lo + 1 in
-  let limbs = Array.make (limbs_for w) 0 in
-  for i = 0 to w - 1 do
-    if bit t (lo + i) then set_bit limbs i true
-  done;
-  normalize w limbs
+  normalize w (Array.init (limbs_for w) (fun i -> read16 t.limbs (lo + (i * limb_bits))))
 
 let zero_extend w t =
   if w < t.width then invalid_arg "Bitvec.zero_extend: narrower target";
@@ -289,26 +289,46 @@ let random rand_int w =
 let pp fmt t = Format.fprintf fmt "0x%s#%d" (to_hex_string t) t.width
 let pp_bin fmt t = Format.fprintf fmt "0b%s#%d" (to_bin_string t) t.width
 
+(* Byte strings number bits MSB first: bit position [p] of [s] is bit
+   [7 - p mod 8] of byte [p / 8]. *)
+
+let byte_at s i = if i < 0 then 0 else Char.code (String.unsafe_get s i)
+
+let read_be s ~off ~width:w =
+  check_width "Bitvec.read_be" w;
+  if off < 0 || off + w > 8 * String.length s then invalid_arg "Bitvec.read_be: out of range";
+  (* Limb [i] holds the 16 bits ending at string bit position [e]; the three
+     bytes ending at [e / 8] cover them. Bits before [off] that the top
+     window drags in are masked off by [normalize]. *)
+  let last = off + w - 1 in
+  normalize w
+    (Array.init (limbs_for w) (fun i ->
+         let e = last - (i * limb_bits) in
+         let b = e / 8 in
+         let v = (byte_at s (b - 2) lsl 16) lor (byte_at s (b - 1) lsl 8) lor byte_at s b in
+         (v lsr (7 - (e land 7))) land limb_mask))
+
 let of_bytes_be s =
   let n = String.length s in
   if n = 0 then invalid_arg "Bitvec.of_bytes_be: empty";
-  let w = 8 * n in
-  let limbs = Array.make (limbs_for w) 0 in
-  for i = 0 to n - 1 do
-    let byte = Char.code s.[n - 1 - i] in
-    for b = 0 to 7 do
-      if byte lsr b land 1 = 1 then set_bit limbs ((i * 8) + b) true
-    done
-  done;
-  normalize w limbs
+  read_be s ~off:0 ~width:(8 * n)
+
+let write_be t buf ~off =
+  let w = t.width in
+  if off < 0 || off + w > 8 * Bytes.length buf then
+    invalid_arg "Bitvec.write_be: out of range";
+  let last = off + w - 1 in
+  for b = off / 8 to last / 8 do
+    (* Bit 0 of byte [b] (position [8b+7]) is bit [last - (8b+7)] of [t];
+       [m] keeps the byte's positions inside [off .. last]. *)
+    let v = read16 t.limbs (last - ((8 * b) + 7)) land 0xFF in
+    let m = (0xFF lsr max 0 (off - (8 * b))) land (0xFF lsl max 0 ((8 * b) + 7 - last)) in
+    let old = Char.code (Bytes.unsafe_get buf b) in
+    Bytes.unsafe_set buf b (Char.unsafe_chr ((old land lnot m) lor (v land m)))
+  done
 
 let to_bytes_be t =
   if t.width mod 8 <> 0 then invalid_arg "Bitvec.to_bytes_be: width not a byte multiple";
-  let n = t.width / 8 in
-  String.init n (fun i ->
-      let lo = (n - 1 - i) * 8 in
-      let byte = ref 0 in
-      for b = 7 downto 0 do
-        byte := (!byte lsl 1) lor (if bit t (lo + b) then 1 else 0)
-      done;
-      Char.chr !byte)
+  let buf = Bytes.create (t.width / 8) in
+  write_be t buf ~off:0;
+  Bytes.unsafe_to_string buf

@@ -126,3 +126,15 @@ val of_bytes_be : string -> t
 
 val to_bytes_be : t -> string
 (** Big-endian bytes; width must be a multiple of 8. *)
+
+val read_be : string -> off:int -> width:int -> t
+(** [read_be s ~off ~width] is the [width] bits of [s] that start [off]
+    bits into it, most significant bit first: [extract] of the same range
+    of [of_bytes_be s], without converting the rest of [s]. Raises
+    [Invalid_argument] when the range leaves [s]. *)
+
+val write_be : t -> Bytes.t -> off:int -> unit
+(** [write_be v buf ~off] stores [v] into [buf] at bit offset [off], most
+    significant bit first, leaving every other bit of [buf] unchanged: the
+    inverse of {!read_be}. Raises [Invalid_argument] when the range leaves
+    [buf]. *)

@@ -333,13 +333,13 @@ type ctrans =
   | CT_select of (Interp.rt -> Bitvec.t) * (Bitvec.t * string) list * string
 
 type cstate = {
-  cs_extract : (Interp.rt -> Bitvec.t option -> int -> int ref -> unit) option;
+  cs_extract : (Interp.rt -> string -> int ref -> unit) option;
   cs_next : ctrans;
 }
 
 let cextract ctx hdr_name =
   match Ast.find_header ctx.program hdr_name with
-  | None -> fun _ _ _ _ -> raise (Interp.Parse_failure ("unknown header " ^ hdr_name))
+  | None -> fun _ _ _ -> raise (Interp.Parse_failure ("unknown header " ^ hdr_name))
   | Some hdr ->
       let w = Header.width hdr in
       let fields =
@@ -347,17 +347,14 @@ let cextract ctx hdr_name =
           (fun (f : Header.field) -> (Interp.fkey hdr_name f.f_name, f.f_width))
           hdr.Header.fields
       in
-      fun rt all total_bits offset ->
-        if !offset + w > total_bits then
+      fun rt bytes offset ->
+        if !offset + w > 8 * String.length bytes then
           raise
             (Interp.Parse_failure
                (Printf.sprintf "truncated packet: need %d bits for %s" w hdr_name));
-        let all = Option.get all in
         List.iter
           (fun (key, fw) ->
-            let hi = total_bits - 1 - !offset in
-            let lo = hi - fw + 1 in
-            Hashtbl.replace rt.Interp.fields key (Bitvec.extract ~hi ~lo all);
+            Hashtbl.replace rt.Interp.fields key (Bitvec.read_be bytes ~off:!offset ~width:fw);
             offset := !offset + fw)
           fields;
         Hashtbl.replace rt.Interp.valid hdr_name true
@@ -379,8 +376,6 @@ let cparse ctx =
     ctx.program.p_parser.states;
   let start = ctx.program.p_parser.start in
   fun rt bytes ->
-    let total_bits = 8 * String.length bytes in
-    let all = if bytes = "" then None else Some (Bitvec.of_bytes_be bytes) in
     let offset = ref 0 in
     let rec step name fuel =
       if fuel = 0 then raise (Interp.Parse_failure "parser did not terminate")
@@ -388,7 +383,7 @@ let cparse ctx =
         match Hashtbl.find_opt states name with
         | None -> raise (Interp.Parse_failure ("unknown parser state " ^ name))
         | Some st -> (
-            Option.iter (fun ex -> ex rt all total_bits offset) st.cs_extract;
+            Option.iter (fun ex -> ex rt bytes offset) st.cs_extract;
             match st.cs_next with
             | CT_accept -> ()
             | CT_select (ce, cases, default) ->

@@ -118,7 +118,6 @@ let rec eval_bexpr rt params (b : Ast.bexpr) : bool =
 
 let parse_packet rt bytes =
   let total_bits = 8 * String.length bytes in
-  let all = if bytes = "" then None else Some (Bitvec.of_bytes_be bytes) in
   let offset = ref 0 in
   let extract_header hdr_name =
     let hdr =
@@ -129,12 +128,10 @@ let parse_packet rt bytes =
     let w = Header.width hdr in
     if !offset + w > total_bits then
       raise (Parse_failure (Printf.sprintf "truncated packet: need %d bits for %s" w hdr_name));
-    let all = Option.get all in
     List.iter
       (fun (f : Header.field) ->
-        let hi = total_bits - 1 - !offset in
-        let lo = hi - f.f_width + 1 in
-        Hashtbl.replace rt.fields (fkey hdr_name f.f_name) (Bitvec.extract ~hi ~lo all);
+        Hashtbl.replace rt.fields (fkey hdr_name f.f_name)
+          (Bitvec.read_be bytes ~off:!offset ~width:f.f_width);
         offset := !offset + f.f_width)
       hdr.Header.fields;
     Hashtbl.replace rt.valid hdr_name true
@@ -173,27 +170,23 @@ let parse_packet rt bytes =
 (* --- deparsing ----------------------------------------------------------- *)
 
 let deparse rt =
-  let bufs =
-    List.filter_map
-      (fun (h : Header.t) ->
-        if is_valid rt h.name then begin
-          let bits =
-            List.fold_left
-              (fun acc (f : Header.field) ->
-                let v =
-                  match Hashtbl.find_opt rt.fields (fkey h.name f.f_name) with
-                  | Some v -> v
-                  | None -> Bitvec.zero f.f_width
-                in
-                match acc with None -> Some v | Some acc -> Some (Bitvec.concat acc v))
-              None h.fields
-          in
-          Option.map Bitvec.to_bytes_be bits
-        end
-        else None)
-      rt.cfg.program.p_headers
-  in
-  String.concat "" bufs ^ rt.payload
+  Packet.to_bytes
+    { Packet.headers =
+        List.filter_map
+          (fun (h : Header.t) ->
+            if is_valid rt h.name then
+              Some
+                { Packet.header = h;
+                  values =
+                    List.map
+                      (fun (f : Header.field) ->
+                        match Hashtbl.find_opt rt.fields (fkey h.name f.f_name) with
+                        | Some v -> (f.f_name, v)
+                        | None -> (f.f_name, Bitvec.zero f.f_width))
+                      h.fields }
+            else None)
+          rt.cfg.program.p_headers;
+      payload = rt.payload }
 
 (* --- table application --------------------------------------------------- *)
 

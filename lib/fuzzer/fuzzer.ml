@@ -553,6 +553,10 @@ let mutate t ctx (e : Entry.t) mutation : Entry.t option =
         let fix (ai : Entry.action_invocation) =
           match P4info.find_action ti ai.ai_name with
           | None -> None
+          | Some ar when List.compare_lengths ar.ar_params ai.ai_args <> 0 ->
+              (* A corpus-seeded base can carry the wrong number of
+                 arguments; it has no reference argument to replace. *)
+              None
           | Some ar ->
               let changed = ref false in
               let args =

@@ -83,11 +83,30 @@ let serialize inst =
   | (_, first) :: rest ->
       List.fold_left (fun acc (_, v) -> Bitvec.concat acc v) first rest
 
+(* Fields are written straight into one buffer; each instance must fill
+   whole bytes on its own, as [Bitvec.to_bytes_be (serialize inst)] would
+   require. *)
 let to_bytes t =
-  let header_bytes =
-    List.map (fun inst -> Bitvec.to_bytes_be (serialize inst)) t.headers
+  let inst_bits inst =
+    if inst.values = [] then invalid_arg "Packet.serialize: empty instance";
+    let bits = List.fold_left (fun acc (_, v) -> acc + Bitvec.width v) 0 inst.values in
+    if bits mod 8 <> 0 then invalid_arg "Bitvec.to_bytes_be: width not a byte multiple";
+    bits
   in
-  String.concat "" header_bytes ^ t.payload
+  let hbytes = List.fold_left (fun acc inst -> acc + (inst_bits inst / 8)) 0 t.headers in
+  let buf = Bytes.create (hbytes + String.length t.payload) in
+  let off =
+    List.fold_left
+      (fun off inst ->
+        List.fold_left
+          (fun off (_, v) ->
+            Bitvec.write_be v buf ~off;
+            off + Bitvec.width v)
+          off inst.values)
+      0 t.headers
+  in
+  Bytes.blit_string t.payload 0 buf (off / 8) (String.length t.payload);
+  Bytes.unsafe_to_string buf
 
 let equal a b =
   String.equal a.payload b.payload

@@ -69,8 +69,8 @@ let telemetry_export_json (ex : Switchv_telemetry.Telemetry.export) =
           Buffer.add_string b (string_of_int n))
         hd.hd_buckets;
       Buffer.add_string b
-        (Printf.sprintf "],\"count\":%d,\"sum\":%.17g,\"max\":%.17g}" hd.hd_count
-           hd.hd_sum hd.hd_max))
+        (Printf.sprintf "],\"count\":%d,\"sum\":%.17g,\"min\":%.17g,\"max\":%.17g}"
+           hd.hd_count hd.hd_sum hd.hd_min hd.hd_max))
     ex.Switchv_telemetry.Telemetry.ex_histograms;
   Buffer.add_string b "}}";
   Buffer.contents b
@@ -131,13 +131,13 @@ let absorb_telemetry_json tele j =
                        (List.map (fun x -> Option.value ~default:0 (J.to_int x)) xs))
               | _ -> None
             in
-            match (buckets, J.member "count" v, J.member "sum" v, J.member "max" v)
+            let num key = Option.bind (J.member key v) J.to_num in
+            match
+              (buckets, Option.bind (J.member "count" v) J.to_int, num "sum", num "min",
+               num "max")
             with
-            | Some hd_buckets, Some c, Some s, Some m -> (
-                match (J.to_int c, J.to_num s, J.to_num m) with
-                | Some hd_count, Some hd_sum, Some hd_max ->
-                    Some (k, { T.hd_buckets; hd_count; hd_sum; hd_max })
-                | _ -> None)
+            | Some hd_buckets, Some hd_count, Some hd_sum, Some hd_min, Some hd_max ->
+                Some (k, { T.hd_buckets; hd_count; hd_sum; hd_min; hd_max })
             | _ -> None)
           kvs
     | _ -> []

@@ -437,11 +437,13 @@ let read t =
 
 (* --- data plane -------------------------------------------------------------- *)
 
+(* Built per packet: the mirror map reads only the mirror-session table,
+   so it costs what that table holds, not what the whole ASIC holds. *)
 let interp_config t =
   { Interp.program = t.asic_program;
     state = t.asic;
     hash_mode = Interp.Seeded t.hash_seed;
-    mirror_map = Workload.mirror_map (State.all t.asic) }
+    mirror_map = Workload.mirror_map (State.entries_of t.asic "mirror_session_table") }
 
 (* Byte-level packet inspection for data-plane faults (models with a plain
    ethernet + ipv4 layout; offsets per the standard headers). *)

@@ -35,6 +35,7 @@ type histogram = {
   buckets : int array;               (* length = Array.length bounds + 1 *)
   mutable h_count : int;
   mutable h_sum : float;
+  mutable h_min : float;
   mutable h_max : float;
 }
 
@@ -43,6 +44,7 @@ let make_histogram () =
     buckets = Array.make (Array.length default_bounds + 1) 0;
     h_count = 0;
     h_sum = 0.;
+    h_min = infinity;
     h_max = neg_infinity }
 
 let histogram_observe h v =
@@ -52,11 +54,13 @@ let histogram_observe h v =
   h.buckets.(i) <- h.buckets.(i) + 1;
   h.h_count <- h.h_count + 1;
   h.h_sum <- h.h_sum +. v;
+  if v < h.h_min then h.h_min <- v;
   if v > h.h_max then h.h_max <- v
 
-(* Rank-based estimate with linear interpolation inside the target bucket:
-   a quantile whose rank falls exactly on a cumulative bucket edge returns
-   that bucket's upper bound exactly (deterministic for tests). *)
+(* Rank-based estimate with linear interpolation inside the target bucket,
+   clamped to the observed [min, max]: a quantile whose rank falls exactly
+   on a cumulative bucket edge returns that bucket's upper bound unless no
+   observation reached it, and a single observation is returned exactly. *)
 let histogram_quantile h p =
   if h.h_count = 0 then None
   else begin
@@ -77,7 +81,7 @@ let histogram_quantile h p =
         else go (i + 1) cum'
       end
     in
-    Some (go 0 0.)
+    Some (Float.min h.h_max (Float.max h.h_min (go 0 0.)))
   end
 
 (* --- registry --------------------------------------------------------------- *)
@@ -523,6 +527,7 @@ type histogram_dump = {
   hd_buckets : int array;
   hd_count : int;
   hd_sum : float;
+  hd_min : float;
   hd_max : float;
 }
 
@@ -545,6 +550,7 @@ let export t =
             { hd_buckets = Array.copy h.buckets;
               hd_count = h.h_count;
               hd_sum = h.h_sum;
+              hd_min = h.h_min;
               hd_max = h.h_max } )
           :: acc)
       t.histograms []
@@ -575,6 +581,7 @@ let absorb t ex =
           done;
           h.h_count <- h.h_count + d.hd_count;
           h.h_sum <- h.h_sum +. d.hd_sum;
+          if d.hd_min < h.h_min then h.h_min <- d.hd_min;
           if d.hd_max > h.h_max then h.h_max <- d.hd_max
         end)
       ex.ex_histograms
@@ -614,6 +621,7 @@ let diff_export t ~base =
                   { hd_buckets = buckets;
                     hd_count = dc;
                     hd_sum = d.hd_sum -. d0.hd_sum;
+                    hd_min = d.hd_min;
                     hd_max = d.hd_max } )
             end)
       cur.ex_histograms

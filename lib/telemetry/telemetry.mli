@@ -122,7 +122,9 @@ val observe : t -> string -> float -> unit
 
 val quantile : t -> string -> float -> float option
 (** [quantile t name p] for [p] in [0,1]; [None] if the histogram is empty
-    or absent. *)
+    or absent. The estimate interpolates inside a bucket and is clamped to
+    the observed minimum and maximum, so it never exceeds the maximum and
+    a single observation is returned exactly. *)
 
 (** {1 Spans and trace events}
 
@@ -194,6 +196,7 @@ type histogram_dump = {
   hd_buckets : int array;   (** same layout as the registry's buckets *)
   hd_count : int;
   hd_sum : float;
+  hd_min : float;
   hd_max : float;
 }
 

@@ -254,12 +254,178 @@ let prop_prefix_matches_canonical =
       let p = Prefix.make v l in
       Prefix.matches p (Prefix.value p) && Prefix.matches p v)
 
+(* --- word-level operations against bit-loop references --------------------
+
+   The library's structural operations work on whole limbs and bytes. The
+   references below compute the same results one bit at a time through
+   [Bitvec.bit] and [Bitvec.of_bin_string], so they share no word-level
+   code with the library. *)
+
+let widths = [ 1; 7; 15; 16; 17; 33; 62; 63; 64; 128 ]
+
+let bits v = Array.init (Bitvec.width v) (Bitvec.bit v)
+
+let of_bits b =
+  let n = Array.length b in
+  Bitvec.of_bin_string (String.init n (fun i -> if b.(n - 1 - i) then '1' else '0'))
+
+(* Bit [p] of a byte string, MSB first. *)
+let string_bit s p = Char.code s.[p / 8] lsr (7 - (p mod 8)) land 1 = 1
+
+let ref_concat hi lo = of_bits (Array.append (bits lo) (bits hi))
+let ref_extract ~hi ~lo v = of_bits (Array.sub (bits v) lo (hi - lo + 1))
+
+let ref_shift_left v k =
+  let b = bits v in
+  of_bits (Array.init (Array.length b) (fun i -> i >= k && b.(i - k)))
+
+let ref_shift_right v k =
+  let b = bits v in
+  let w = Array.length b in
+  of_bits (Array.init w (fun i -> i + k < w && b.(i + k)))
+
+let ref_read s ~off ~width =
+  of_bits (Array.init width (fun i -> string_bit s (off + width - 1 - i)))
+let ref_of_bytes s = ref_read s ~off:0 ~width:(8 * String.length s)
+
+let ref_to_bytes v =
+  let w = Bitvec.width v in
+  String.init (w / 8) (fun j ->
+      let byte = ref 0 in
+      for k = 0 to 7 do
+        byte := (!byte lsl 1) lor if Bitvec.bit v (w - 1 - ((8 * j) + k)) then 1 else 0
+      done;
+      Char.chr !byte)
+
+let ref_write v buf ~off =
+  let w = Bitvec.width v in
+  for p = off to off + w - 1 do
+    let i = p / 8 and m = 1 lsl (7 - (p mod 8)) in
+    let old = Char.code (Bytes.get buf i) in
+    let b = if Bitvec.bit v (off + w - 1 - p) then old lor m else old land lnot m in
+    Bytes.set buf i (Char.chr b)
+  done
+
+let ref_hex v =
+  let w = Bitvec.width v in
+  let n = (w + 3) / 4 in
+  String.init n (fun i ->
+      let d = ref 0 in
+      for b = 3 downto 0 do
+        let p = ((n - 1 - i) * 4) + b in
+        d := (!d lsl 1) lor if p < w && Bitvec.bit v p then 1 else 0
+      done;
+      "0123456789abcdef".[!d])
+
+let gen_wbv =
+  QCheck.Gen.(
+    oneofl widths >>= fun w ->
+    int_bound 0xFFFFFF >>= fun seed -> return (Rng.bitvec (Rng.create seed) w))
+
+(* Byte strings: short ones, and full 1500-byte frames. *)
+let gen_bytes =
+  QCheck.Gen.(string_size ~gen:char (oneof [ int_range 1 40; return 1500 ]))
+
+let pp_bv = Format.asprintf "%a" Bitvec.pp
+let pp_bytes s =
+  Printf.sprintf "%d bytes %S" (String.length s)
+    (if String.length s > 24 then String.sub s 0 24 else s)
+
+let prop_concat_ref =
+  QCheck.Test.make ~name:"concat = bit-loop concat" ~count:300
+    (QCheck.make ~print:(fun (a, b) -> pp_bv a ^ " ++ " ^ pp_bv b)
+       QCheck.Gen.(pair gen_wbv gen_wbv))
+    (fun (hi, lo) -> Bitvec.equal (Bitvec.concat hi lo) (ref_concat hi lo))
+
+let prop_extract_ref =
+  QCheck.Test.make ~name:"extract = bit-loop extract" ~count:300
+    (QCheck.make
+       ~print:(fun (v, (hi, lo)) -> Printf.sprintf "%s[%d:%d]" (pp_bv v) hi lo)
+       QCheck.Gen.(
+         gen_wbv >>= fun v ->
+         let w = Bitvec.width v in
+         int_bound (w - 1) >>= fun lo ->
+         int_range lo (w - 1) >>= fun hi -> return (v, (hi, lo))))
+    (fun (v, (hi, lo)) -> Bitvec.equal (Bitvec.extract ~hi ~lo v) (ref_extract ~hi ~lo v))
+
+let prop_shifts_ref =
+  QCheck.Test.make ~name:"shifts = bit-loop shifts" ~count:300
+    (QCheck.make
+       ~print:(fun (v, k) -> Printf.sprintf "%s by %d" (pp_bv v) k)
+       QCheck.Gen.(
+         gen_wbv >>= fun v -> int_bound (Bitvec.width v + 20) >>= fun k -> return (v, k)))
+    (fun (v, k) ->
+      Bitvec.equal (Bitvec.shift_left v k) (ref_shift_left v k)
+      && Bitvec.equal (Bitvec.shift_right v k) (ref_shift_right v k))
+
+let prop_hex_ref =
+  QCheck.Test.make ~name:"to_hex_string = bit-loop hex" ~count:300
+    (QCheck.make ~print:pp_bv gen_wbv)
+    (fun v -> String.equal (Bitvec.to_hex_string v) (ref_hex v))
+
+let prop_bytes_ref =
+  QCheck.Test.make ~name:"of_bytes_be/to_bytes_be = bit loops" ~count:100
+    (QCheck.make ~print:pp_bytes gen_bytes)
+    (fun s ->
+      let v = Bitvec.of_bytes_be s in
+      Bitvec.equal v (ref_of_bytes s)
+      && String.equal (Bitvec.to_bytes_be v) (ref_to_bytes v)
+      && String.equal (Bitvec.to_bytes_be v) s)
+
+let gen_read =
+  QCheck.Gen.(
+    gen_bytes >>= fun s ->
+    oneofl (List.filter (fun w -> w <= 8 * String.length s) widths) >>= fun w ->
+    int_bound ((8 * String.length s) - w) >>= fun off -> return (s, off, w))
+
+let print_read (s, off, w) = Printf.sprintf "%s off=%d width=%d" (pp_bytes s) off w
+
+let prop_read_ref =
+  QCheck.Test.make ~name:"read_be = bit-loop read at any offset" ~count:500
+    (QCheck.make ~print:print_read gen_read)
+    (fun (s, off, width) ->
+      let v = Bitvec.read_be s ~off ~width in
+      Bitvec.equal v (ref_read s ~off ~width)
+      && Bitvec.equal v
+           (let all = Bitvec.of_bytes_be s and n = 8 * String.length s in
+            Bitvec.extract ~hi:(n - 1 - off) ~lo:(n - off - width) all))
+
+let prop_write_ref =
+  QCheck.Test.make ~name:"write_be = bit-loop write, inverse of read_be" ~count:500
+    (QCheck.make
+       ~print:(fun ((s, off, _), v) ->
+         print_read (s, off, Bitvec.width v) ^ " value " ^ pp_bv v)
+       QCheck.Gen.(
+         gen_read >>= fun (s, off, w) ->
+         int_bound 0xFFFFFF >>= fun seed ->
+         return ((s, off, w), Rng.bitvec (Rng.create seed) w)))
+    (fun ((s, off, _), v) ->
+      let got = Bytes.of_string s and want = Bytes.of_string s in
+      Bitvec.write_be v got ~off;
+      ref_write v want ~off;
+      Bytes.equal got want
+      && Bitvec.equal (Bitvec.read_be (Bytes.to_string got) ~off ~width:(Bitvec.width v)) v)
+
+let test_read_write_bounds () =
+  let raises f = match f () with _ -> false | exception Invalid_argument _ -> true in
+  check_bool "read past the end" true
+    (raises (fun () -> Bitvec.read_be "ab" ~off:9 ~width:8));
+  check_bool "read at a negative offset" true
+    (raises (fun () -> Bitvec.read_be "ab" ~off:(-1) ~width:8));
+  check_bool "read of the empty string" true
+    (raises (fun () -> Bitvec.read_be "" ~off:0 ~width:1));
+  check_bool "write past the end" true
+    (raises (fun () -> Bitvec.write_be (Bitvec.zero 9) (Bytes.make 1 'x') ~off:0));
+  check_bool "last bit readable" true
+    (Bitvec.equal (Bitvec.read_be "\x01" ~off:7 ~width:1) (Bitvec.of_int ~width:1 1))
+
 let props =
   List.map QCheck_alcotest.to_alcotest
     [ prop_add_comm; prop_add_sub_inverse; prop_neg_involution;
       prop_lognot_involution; prop_de_morgan; prop_concat_extract;
       prop_bin_roundtrip; prop_hex_roundtrip; prop_compare_total;
-      prop_shift_add; prop_prefix_matches_canonical ]
+      prop_shift_add; prop_prefix_matches_canonical; prop_concat_ref; prop_extract_ref;
+      prop_shifts_ref; prop_hex_ref; prop_bytes_ref; prop_read_ref; prop_write_ref ]
 
 let () =
   Alcotest.run "bitvec"
@@ -277,7 +443,8 @@ let () =
       ("structure",
        [ Alcotest.test_case "concat/extract" `Quick test_concat_extract;
          Alcotest.test_case "prefix masks" `Quick test_prefix_mask;
-         Alcotest.test_case "bytes roundtrip" `Quick test_bytes_roundtrip ]);
+         Alcotest.test_case "bytes roundtrip" `Quick test_bytes_roundtrip;
+         Alcotest.test_case "read/write bounds" `Quick test_read_write_bounds ]);
       ("prefix",
        [ Alcotest.test_case "parse" `Quick test_prefix_parse;
          Alcotest.test_case "match" `Quick test_prefix_match;

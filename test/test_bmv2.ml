@@ -10,6 +10,9 @@ module Packet = Switchv_packet.Packet
 module Entry = Switchv_p4runtime.Entry
 module State = Switchv_p4runtime.State
 module Interp = Switchv_bmv2.Interp
+module Compile = Switchv_bmv2.Compile
+module Stack = Switchv_switch.Stack
+module P4parser = Switchv_p4ir.P4parser
 module Middleblock = Switchv_sai.Middleblock
 module Figure2 = Switchv_sai.Figure2
 module Workload = Switchv_sai.Workload
@@ -409,6 +412,82 @@ let prop_seeded_within_enumerated =
       let b = Interp.run c ~ingress_port:1 bytes in
       let set = Interp.enumerate_behaviors c ~ingress_port:1 bytes in
       List.exists (Interp.behavior_equal b) set)
+(* --- parser parity ---------------------------------------------------------------
+
+   Both evaluators read every field straight from the packet bytes. At the
+   edges of the packet they must fail with the same [Parse_failure] message,
+   and a stack must turn that failure into a drop of the unchanged bytes. *)
+
+(* A header that ends off a byte boundary: 4 + 8 bits. *)
+let unaligned_program =
+  P4parser.parse_exn ~name:"unaligned"
+    {|
+header odd_t {
+  bit<4> kind;
+  bit<8> value;
+}
+
+parser (start = start) {
+  state start {
+    packet.extract(headers.odd);
+    transition accept;
+  }
+}
+
+control ingress {
+}
+
+control egress {
+}
+|}
+
+let parse_outcome run bytes =
+  match run bytes with
+  | b -> Ok b
+  | exception Interp.Parse_failure m -> Error m
+
+let check_parity ?(program = Middleblock.program) what bytes expected =
+  let cfg =
+    { Interp.program; state = State.create (); hash_mode = Interp.Seeded 5; mirror_map = [] }
+  in
+  let interp = parse_outcome (Interp.run cfg ~ingress_port:1) bytes in
+  let compiled = parse_outcome (Compile.run cfg ~ingress_port:1) bytes in
+  let stack = Stack.create program in
+  ignore (Stack.push_p4info stack);
+  let injected = Stack.inject stack ~ingress_port:1 bytes in
+  match (expected, interp, compiled) with
+  | Error m, Error mi, Error mc ->
+      Alcotest.(check string) (what ^ ": interpreter message") m mi;
+      Alcotest.(check string) (what ^ ": compiled message") m mc;
+      check_bool (what ^ ": stack drops the unchanged bytes") true
+        (injected.b_egress = None && (not injected.b_punted) && injected.b_mirrors = []
+        && String.equal injected.b_packet bytes
+        && injected.b_trace = [ ("<fault>", "dropped") ])
+  | Ok (), Ok bi, Ok bc ->
+      check_bool (what ^ ": evaluators agree") true
+        (Interp.behavior_equal bi bc && String.equal bi.b_packet bc.b_packet);
+      check_bool (what ^ ": deparsed bytes unchanged") true (String.equal bi.b_packet bytes);
+      check_bool (what ^ ": stack agrees") true (String.equal injected.b_packet bytes)
+  | _ -> Alcotest.failf "%s: evaluators disagree on whether the packet parses" what
+
+let test_parser_parity () =
+  let eth =
+    Packet.to_bytes
+      { Packet.headers = [ Packet.ethernet_frame ~ether_type:0x0800 () ]; payload = "" }
+  in
+  let full = Packet.to_bytes { (packet ~dst:"10.1.2.3" ()) with payload = "" } in
+  check_parity "empty packet" "" (Error "truncated packet: need 112 bits for ethernet");
+  check_parity "truncated mid-ethernet" (String.sub eth 0 13)
+    (Error "truncated packet: need 112 bits for ethernet");
+  check_parity "truncated mid-ipv4" (eth ^ String.make 10 '\x45')
+    (Error "truncated packet: need 160 bits for ipv4");
+  check_parity "truncated mid-udp" (String.sub full 0 (String.length full - 1))
+    (Error "truncated packet: need 64 bits for udp");
+  check_parity "headers exactly fill the packet" full (Ok ());
+  check_parity ~program:unaligned_program "non-byte-aligned parse" "\xab\xcd"
+    (Error "parsed headers not byte-aligned");
+  check_parity ~program:unaligned_program "truncated unaligned header" "\xab"
+    (Error "truncated packet: need 12 bits for odd")
 
 let () =
   Alcotest.run "bmv2"
@@ -436,7 +515,8 @@ let () =
          Alcotest.test_case "submit to ingress" `Quick test_packet_out_submit_to_ingress ]);
       ("parsing",
        [ Alcotest.test_case "truncated packet" `Quick test_parse_failure_on_truncated;
-         Alcotest.test_case "non-ip accepted" `Quick test_non_ip_passes_parser ]);
+         Alcotest.test_case "non-ip accepted" `Quick test_non_ip_passes_parser;
+         Alcotest.test_case "parser parity at the packet edges" `Quick test_parser_parity ]);
       ("properties",
        [ QCheck_alcotest.to_alcotest prop_parse_deparse_identity;
          QCheck_alcotest.to_alcotest prop_seeded_within_enumerated ]) ]

@@ -10,6 +10,9 @@ module Validate = Switchv_p4runtime.Validate
 module P4info = Switchv_p4ir.P4info
 module Fuzzer = Switchv_fuzzer.Fuzzer
 module Middleblock = Switchv_sai.Middleblock
+module Greybox = Switchv_fuzzer.Greybox
+module Stack = Switchv_switch.Stack
+module Control_campaign = Switchv_core.Control_campaign
 
 let check_bool = Alcotest.check Alcotest.bool
 let check_int = Alcotest.check Alcotest.int
@@ -273,6 +276,34 @@ let test_sweep_respects_dependency_order () =
            ignore (State.insert seen a.update.entry)
          end))
     sweep
+(* --- corpus-seeded bases of the wrong arity ------------------------------- *)
+
+(* A corpus seed can carry an action with the wrong number of arguments.
+   The invalid_reference mutation used to zip the action's parameters with
+   those arguments and raise [Invalid_argument "List.map2"]; it now treats
+   such a base as having nothing to mutate. *)
+let test_wrong_arity_base () =
+  let gb = Greybox.create ~program:Middleblock.program ~seed:1 () in
+  let bad =
+    Entry.make ~table:"ipv4_table" ~matches:[]
+      (Entry.Single
+         { ai_name = "set_nexthop_id";
+           ai_args = [ Bitvec.of_int ~width:16 1; Bitvec.of_int ~width:16 2 ] })
+  in
+  Greybox.admit gb (Greybox.Batch [ bad ]) ~energy:1000;
+  let f = Fuzzer.create ~greybox:gb info (Rng.create 14) in
+  let sweep = Fuzzer.sweep f in
+  let random = batches f 40 in
+  check_bool "sweep and batches generated" true (sweep <> [] && List.length random = 40)
+
+let test_seed14_campaign_completes () =
+  let stack = Stack.create Middleblock.program in
+  let incidents, stats =
+    Control_campaign.run stack
+      { Control_campaign.default_config with batches = 60; seed = 14; greybox = true }
+  in
+  check_int "sweep plus 60 random batches" 99 stats.cs_batches;
+  check_int "no incidents on a clean stack" 0 (List.length incidents)
 
 let () =
   Alcotest.run "fuzzer"
@@ -292,4 +323,8 @@ let () =
       ("sweep",
        [ Alcotest.test_case "covers all tables" `Quick test_sweep_covers_tables;
          Alcotest.test_case "covers mutations per table" `Quick test_sweep_covers_mutations_per_table;
-         Alcotest.test_case "dependency order" `Quick test_sweep_respects_dependency_order ]) ]
+         Alcotest.test_case "dependency order" `Quick test_sweep_respects_dependency_order ]);
+      ( "greybox bases",
+        [ Alcotest.test_case "wrong-arity base" `Quick test_wrong_arity_base;
+          Alcotest.test_case "seed 14 campaign completes" `Quick
+            test_seed14_campaign_completes ]) ]

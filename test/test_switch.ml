@@ -17,6 +17,8 @@ module Catalogue = Switchv_switch.Catalogue
 module Middleblock = Switchv_sai.Middleblock
 module Cerberus = Switchv_sai.Cerberus
 module Workload = Switchv_sai.Workload
+module Interp = Switchv_bmv2.Interp
+module Compile = Switchv_bmv2.Compile
 
 let check_bool = Alcotest.check Alcotest.bool
 let check_int = Alcotest.check Alcotest.int
@@ -253,6 +255,78 @@ let test_catalogue_resolution_distribution () =
 let test_catalogue_ids_unique () =
   let ids = List.map (fun (f : Fault.t) -> f.id) (pins_catalogue () @ cerb_catalogue ()) in
   check_int "unique ids" (List.length ids) (List.length (List.sort_uniq compare ids))
+(* --- mirror sessions ------------------------------------------------------------ *)
+
+(* The data plane builds its mirror map from the mirror-session table
+   alone. It must agree with a map built from every installed entry, as
+   the session is modified and deleted. The ACL may reference a deleted
+   session: a dangling-reference fault lets the server accept it, and the
+   packet must then carry no mirror copy. *)
+let test_mirror_map_from_session_table () =
+  let s = ready ~faults:[ fault (Fault.Accept_dangling_reference "acl_ingress_table") ] () in
+  let ok what r = check_bool what true (Request.write_ok r) in
+  let mac = Packet.mac_of_string in
+  List.iter
+    (fun e -> ok "provisioning accepted" (write1 s e))
+    [ vrf 1;
+      Entry.make ~table:"router_interface_table"
+        ~matches:[ fm "router_interface_id" (Entry.M_exact (bv16 1)) ]
+        (single "set_port_and_src_mac" [ bv16 7; mac "02:00:00:00:bb:01" ]);
+      Entry.make ~table:"neighbor_table"
+        ~matches:
+          [ fm "router_interface_id" (Entry.M_exact (bv16 1));
+            fm "neighbor_id" (Entry.M_exact (bv16 1)) ]
+        (single "set_dst_mac" [ mac "02:00:00:00:cc:01" ]);
+      Entry.make ~table:"nexthop_table" ~matches:[ fm "nexthop_id" (Entry.M_exact (bv16 1)) ]
+        (single "set_ip_nexthop" [ bv16 1; bv16 1 ]);
+      Entry.make ~table:"acl_pre_ingress_table" ~priority:1
+        ~matches:[ fm "is_ipv4" (Entry.M_ternary (Ternary.exact (Bitvec.of_int ~width:1 1))) ]
+        (single "set_vrf" [ bv16 1 ]);
+      Entry.make ~table:"l3_admit_table" ~priority:1
+        ~matches:[ fm "dst_mac" (Entry.M_ternary (Ternary.exact (mac "02:00:00:00:00:02"))) ]
+        (single "l3_admit" []);
+      Entry.make ~table:"ipv4_table"
+        ~matches:
+          [ fm "vrf_id" (Entry.M_exact (bv16 1));
+            fm "ipv4_dst" (Entry.M_lpm (Prefix.of_ipv4_string "10.1.0.0/16")) ]
+        (single "set_nexthop_id" [ bv16 1 ]) ];
+  let session port =
+    Entry.make ~table:"mirror_session_table"
+      ~matches:[ fm "mirror_session_id" (Entry.M_exact (bv16 3)) ]
+      (single "set_port_and_src_mac" [ bv16 port; mac "02:00:00:00:dd:01" ])
+  in
+  let acl =
+    Entry.make ~table:"acl_ingress_table" ~priority:5
+      ~matches:
+        [ fm "dst_ip" (Entry.M_ternary (Ternary.exact (Packet.ipv4_of_string "10.1.2.3"))) ]
+      (single "acl_mirror" [ bv16 3 ])
+  in
+  let bytes = Packet.to_bytes (Packet.simple_ipv4 ~src:"10.0.0.1" ~dst:"10.1.2.3" ()) in
+  let check_mirrors what expected_ports =
+    let got = (Stack.inject s ~ingress_port:1 bytes).b_mirrors in
+    let asic = Stack.asic_state s in
+    let reference =
+      (Compile.run
+         { Interp.program = Stack.program s;
+           state = asic;
+           hash_mode = Interp.Seeded 0;
+           mirror_map = Workload.mirror_map (State.all asic) }
+         ~ingress_port:1 bytes)
+        .b_mirrors
+    in
+    check_bool (what ^ ": same mirrors as a map from every entry") true (got = reference);
+    check_bool (what ^ ": mirror ports") true (List.map fst got = expected_ports)
+  in
+  ok "session" (write1 s (session 12));
+  ok "mirroring ACL" (write1 s acl);
+  check_mirrors "installed" [ 12 ];
+  ok "modify session port"
+    (Stack.write s { Request.updates = [ Request.modify (session 13) ] });
+  check_mirrors "after modify" [ 13 ];
+  ok "delete ACL" (Stack.write s { Request.updates = [ Request.delete acl ] });
+  ok "delete session" (Stack.write s { Request.updates = [ Request.delete (session 13) ] });
+  ok "dangling ACL" (write1 s acl);
+  check_mirrors "after session delete" []
 
 let () =
   Alcotest.run "switch"
@@ -260,7 +334,9 @@ let () =
        [ Alcotest.test_case "requires p4info" `Quick test_requires_p4info;
          Alcotest.test_case "validation" `Quick test_clean_validation;
          Alcotest.test_case "server/asic sync" `Quick test_server_asic_in_sync;
-         Alcotest.test_case "referenced delete refused" `Quick test_referenced_delete_refused ]);
+         Alcotest.test_case "referenced delete refused" `Quick test_referenced_delete_refused;
+         Alcotest.test_case "mirror map from session table" `Quick
+           test_mirror_map_from_session_table ]);
       ("faults",
        [ Alcotest.test_case "p4info push" `Quick test_p4info_fault;
          Alcotest.test_case "reject valid" `Quick test_reject_valid_fault;

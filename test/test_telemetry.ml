@@ -52,7 +52,8 @@ let test_quantiles_at_bucket_boundaries () =
   let t = Telemetry.create ~clock:(fake_clock ()) () in
   (* 50 observations in the first bucket (upper bound 1µs), 50 in the
      second (upper bound 2.5µs). Ranks landing exactly on a cumulative
-     bucket edge must return that bucket's upper bound exactly. *)
+     bucket edge return that bucket's upper bound exactly when an
+     observation reached it. *)
   for _ = 1 to 50 do Telemetry.observe t "h" 1e-6 done;
   for _ = 1 to 50 do Telemetry.observe t "h" 2.5e-6 done;
   let q p = Option.get (Telemetry.quantile t "h" p) in
@@ -60,6 +61,37 @@ let test_quantiles_at_bucket_boundaries () =
   check_float "p100 is the second bucket's upper bound" 2.5e-6 (q 1.0);
   (* Rank 90 falls 80% into the second bucket: linear interpolation. *)
   check_float "p90 interpolates inside the bucket" (1e-6 +. (1.5e-6 *. 0.8)) (q 0.9)
+
+let test_quantile_clamped_to_observed_range () =
+  let t = Telemetry.create ~clock:(fake_clock ()) () in
+  (* Bucket edges no observation reached: the first bucket is (0, 1µs]
+     but holds only 0.6µs, the second (1µs, 2.5µs] holds only 2µs. The
+     bucket-edge rule alone would report p0 = 0, p50 = 1µs and
+     p100 = 2.5µs, past the maximum. *)
+  for _ = 1 to 50 do Telemetry.observe t "h" 0.6e-6 done;
+  for _ = 1 to 50 do Telemetry.observe t "h" 2e-6 done;
+  let q p = Option.get (Telemetry.quantile t "h" p) in
+  check_float "p0 is the observed min" 0.6e-6 (q 0.);
+  check_float "p50 on an edge between the observations" 1e-6 (q 0.5);
+  check_float "p100 is the observed max" 2e-6 (q 1.0);
+  check_float "p90 clamped to the max" 2e-6 (q 0.9);
+  List.iter
+    (fun p -> check_bool "quantile within [min, max]" true (q p >= 0.6e-6 && q p <= 2e-6))
+    [ 0.; 0.01; 0.25; 0.5; 0.75; 0.99; 1.0 ]
+
+let test_quantile_single_sample () =
+  let t = Telemetry.create ~clock:(fake_clock ()) () in
+  (* One 124.91ms observation sits in the (100ms, 250ms] bucket; every
+     quantile is that observation, not a point of the bucket. *)
+  Telemetry.observe t "h" 0.12491;
+  List.iter
+    (fun p ->
+      check_float (Printf.sprintf "p%.0f is the sample" (100. *. p)) 0.12491
+        (Option.get (Telemetry.quantile t "h" p)))
+    [ 0.; 0.5; 0.9; 0.99; 1.0 ];
+  let h = List.assoc "h" (Telemetry.snapshot t).Telemetry.snap_histograms in
+  check_bool "snapshot p50 does not exceed its max" true
+    (h.Telemetry.hs_p50 <= h.Telemetry.hs_max)
 
 let test_quantile_overflow_and_absent () =
   let t = Telemetry.create ~clock:(fake_clock ()) () in
@@ -276,6 +308,10 @@ let () =
       ( "histograms",
         [ Alcotest.test_case "bucket-boundary quantiles" `Quick
             test_quantiles_at_bucket_boundaries;
+          Alcotest.test_case "quantiles clamped to [min, max]" `Quick
+            test_quantile_clamped_to_observed_range;
+          Alcotest.test_case "single-sample quantile is exact" `Quick
+            test_quantile_single_sample;
           Alcotest.test_case "overflow and absent" `Quick
             test_quantile_overflow_and_absent ] );
       ( "spans",
