@@ -15,24 +15,31 @@ let on_disk dir = { backend = Disk dir; table = Hashtbl.create 16; n_hits = 0; n
 
 let path dir key = Filename.concat dir (key ^ ".cache")
 
-(* On-disk entries carry a tiny header — "swvc1 <payload-length>\n" — so a
-   torn write (crash mid-write, or a reader racing a non-atomic writer from
-   an older binary) is detectable: a file whose body is not exactly the
-   declared length is treated as absent. *)
-let magic = "swvc1"
+(* On-disk entries carry a tiny header — "swvc2 <payload-length>
+   <payload-md5>\n". A torn write (crash mid-write, or a reader racing a
+   non-atomic writer from an older binary) shows as a body of the wrong
+   length; a damaged body of the right length shows as a digest mismatch.
+   Either way the file is treated as absent, so a corrupt payload never
+   reaches [Marshal], which may crash rather than raise on bad input. *)
+let magic = "swvc2"
 
 let encode payload =
-  Printf.sprintf "%s %d\n%s" magic (String.length payload) payload
+  Printf.sprintf "%s %d %s\n%s" magic (String.length payload)
+    (Digest.to_hex (Digest.string payload))
+    payload
 
 let decode raw =
   match String.index_opt raw '\n' with
   | None -> None
   | Some nl -> (
       match String.split_on_char ' ' (String.sub raw 0 nl) with
-      | [ m; len ] when String.equal m magic -> (
+      | [ m; len; digest ] when String.equal m magic -> (
           match int_of_string_opt len with
           | Some n when n >= 0 && String.length raw = nl + 1 + n ->
-              Some (String.sub raw (nl + 1) n)
+              let payload = String.sub raw (nl + 1) n in
+              if String.equal digest (Digest.to_hex (Digest.string payload)) then
+                Some payload
+              else None
           | _ -> None)
       | _ -> None)
 

@@ -17,7 +17,9 @@ val on_disk : string -> t
 val find : t -> key:string -> string option
 (** Raw serialised payload, if present. Unreadable, truncated, or
     otherwise corrupt on-disk entries are reported as misses (counted in
-    the [cache.corrupt_dropped] telemetry counter), never raised. *)
+    the [cache.corrupt_dropped] telemetry counter), never raised. Each
+    file carries its payload's length and digest, so a damaged payload is
+    caught before it is returned. *)
 
 val store : t -> key:string -> string -> unit
 (** Crash-safe on disk: the payload is written to a temporary file and

@@ -394,9 +394,10 @@ let generate ?(ports = [ 1; 2; 3; 4 ]) ?(index_offset = 0) ?cache ?(incremental 
         match Cache.find c ~key with
         | None -> None
         | Some raw -> (
-            (* The cache layer already rejects torn files; this guards the
-               residual case of a well-framed payload whose Marshal bytes
-               are garbage. Falling through regenerates and overwrites. *)
+            (* The cache layer already rejects torn and damaged files (a
+               length and digest check); this guards the residual case of
+               an intact payload that does not decode as packets. Falling
+               through regenerates and overwrites. *)
             match deserialize raw with
             | packets -> Some packets
             | exception _ ->

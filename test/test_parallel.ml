@@ -9,6 +9,8 @@ module Shard = Switchv_parallel.Shard
 module Ipc = Switchv_parallel.Ipc
 module Pool = Switchv_parallel.Pool
 module Cache = Switchv_symbolic.Cache
+module Symexec = Switchv_symbolic.Symexec
+module Packetgen = Switchv_symbolic.Packetgen
 module Telemetry = Switchv_telemetry.Telemetry
 module Middleblock = Switchv_sai.Middleblock
 module Workload = Switchv_sai.Workload
@@ -134,6 +136,9 @@ let fresh_dir =
 
 let cache_file dir key = Filename.concat dir (key ^ ".cache")
 
+let read_all file = In_channel.with_open_bin file In_channel.input_all
+let write_all file s = Out_channel.with_open_bin file (fun oc -> output_string oc s)
+
 let test_cache_corrupt_entry_is_miss () =
   let dir = fresh_dir () in
   let c = Cache.on_disk dir in
@@ -142,9 +147,8 @@ let test_cache_corrupt_entry_is_miss () =
   (* Corrupt the file in place: a torn write truncates the payload below
      the length the header promises. *)
   let file = cache_file dir "k" in
-  let oc = open_out_bin file in
-  output_string oc "swvc1 7\npay";
-  close_out oc;
+  let whole = read_all file in
+  write_all file (String.sub whole 0 (String.length whole - 4));
   (* A fresh handle forces the read through the disk layer — [c] still
      holds the payload in its in-memory table, as it should. *)
   let c2 = Cache.on_disk dir in
@@ -164,6 +168,38 @@ let test_cache_corrupt_entry_is_miss () =
   output_string oc "raw-legacy-payload";
   close_out oc;
   check_bool "headerless entry is a miss" true (Cache.find c ~key:"old" = None)
+
+(* A damaged payload of the right length must not reach [Marshal] (which
+   may crash rather than raise on bad bytes): the header's digest turns it
+   into a miss, and generation falls through to the solver. *)
+let test_cache_flipped_byte_is_miss () =
+  let dir = fresh_dir () in
+  let enc =
+    Symexec.encode Middleblock.program
+      (Workload.generate ~seed:3 Middleblock.program Workload.small)
+  in
+  let goals = Packetgen.entry_coverage_goals enc in
+  let first = Packetgen.generate ~cache:(Cache.on_disk dir) enc goals in
+  let files =
+    Array.to_list (Sys.readdir dir)
+    |> List.filter (fun f -> Filename.check_suffix f ".cache")
+  in
+  check_int "one entry stored" 1 (List.length files);
+  let file = Filename.concat dir (List.hd files) in
+  let raw = Bytes.of_string (read_all file) in
+  let body = Bytes.index raw '\n' + 1 in
+  let i = body + ((Bytes.length raw - body) / 2) in
+  Bytes.set raw i (Char.chr (Char.code (Bytes.get raw i) lxor 0x55));
+  write_all file (Bytes.to_string raw);
+  let tele = Telemetry.create () in
+  let again =
+    Telemetry.with_registry tele (fun () ->
+        Packetgen.generate ~cache:(Cache.on_disk dir) enc goals)
+  in
+  check_bool "flipped entry is a miss" false again.Packetgen.from_cache;
+  check_int "corrupt_dropped counted" 1 (Telemetry.counter tele "cache.corrupt_dropped");
+  check_bool "regenerated packets match" true
+    (again.Packetgen.packets = first.Packetgen.packets)
 
 let test_cache_atomic_store () =
   let dir = Filename.concat (fresh_dir ()) "nested/deeper" in
@@ -419,6 +455,8 @@ let () =
       ( "cache",
         [ Alcotest.test_case "corrupt entry is a miss" `Quick
             test_cache_corrupt_entry_is_miss;
+          Alcotest.test_case "flipped payload byte is a miss" `Quick
+            test_cache_flipped_byte_is_miss;
           Alcotest.test_case "atomic store + racy mkdir" `Quick
             test_cache_atomic_store ] );
       ( "pool",

@@ -7,6 +7,7 @@ module Rng = Switchv_bitvec.Rng
 module Sat = Switchv_smt.Sat
 module Term = Switchv_smt.Term
 module Solver = Switchv_smt.Solver
+module Telemetry = Switchv_telemetry.Telemetry
 
 let check_bool = Alcotest.check Alcotest.bool
 let check_int = Alcotest.check Alcotest.int
@@ -219,6 +220,55 @@ let test_solver_assumptions_incremental () =
   | Solver.Sat _ -> ()
   | Solver.Unsat -> Alcotest.fail "99 < 100 should be sat")
 
+(* [smt.blast], [smt.search] and [smt.model] are phases of [smt.check]:
+   under a clock that ticks on every read, each phase's total is strictly
+   inside its parent's, and the phase counts follow the verdicts. *)
+let test_solver_phase_spans () =
+  let ticks = ref 0. in
+  let tele =
+    Telemetry.create ~clock:(fun () -> ticks := !ticks +. 1.; !ticks) ()
+  in
+  let n_sat, n_checks =
+    Telemetry.with_registry tele (fun () ->
+        let s = Solver.create () in
+        let x = Term.var "x" 8 and y = Term.var "y" 8 in
+        Solver.assert_formula s (Term.ult x (c8 100));
+        let canonical = [ Solver.C_bv "x"; Solver.C_bv "y" ] in
+        let goals =
+          [ [ Term.eq (Term.bvadd x y) (c8 7) ];
+            [ Term.eq x (c8 150) ];
+            [ Term.ult y x; Term.eq y (c8 42) ] ]
+        in
+        Solver.push s;
+        Solver.assert_formula s (Term.ult y (c8 200));
+        let verdicts =
+          List.map
+            (fun assumptions -> Solver.check_verdict ~assumptions ~canonical s)
+            goals
+          @ [ Solver.check_verdict ~assumptions:(List.hd goals) s ]
+        in
+        Solver.pop s;
+        ( List.length
+            (List.filter (function Solver.V_sat _ -> true | _ -> false) verdicts),
+          List.length verdicts ))
+  in
+  let snap = Telemetry.snapshot tele in
+  let hist name =
+    match List.assoc_opt name snap.Telemetry.snap_histograms with
+    | Some h -> h
+    | None -> Alcotest.failf "no %s span" name
+  in
+  let sum name = (hist name).Telemetry.hs_sum in
+  let count name = (hist name).Telemetry.hs_count in
+  check_int "checks" n_checks (count "smt.check");
+  check_int "asserts" 2 (count "smt.assert");
+  check_int "one blast per check" n_checks (count "smt.blast");
+  check_int "one search per check" n_checks (count "smt.search");
+  check_int "one model per sat check" n_sat (count "smt.model");
+  check_bool "some checks unsat" true (n_sat < n_checks);
+  check_bool "phases sum within smt.check" true
+    (sum "smt.blast" +. sum "smt.search" +. sum "smt.model" < sum "smt.check")
+
 let test_solver_ternary_match () =
   let key = Term.var "key" 32 in
   let value = Bitvec.of_int64 ~width:32 0x0A000000L in
@@ -337,6 +387,7 @@ let () =
          Alcotest.test_case "ult bounds" `Quick test_solver_ult_bounds;
          Alcotest.test_case "multiplication" `Quick test_solver_mul;
          Alcotest.test_case "incremental assumptions" `Quick test_solver_assumptions_incremental;
+         Alcotest.test_case "check phase spans" `Quick test_solver_phase_spans;
          Alcotest.test_case "ternary match" `Quick test_solver_ternary_match;
          Alcotest.test_case "model soundness (random)" `Slow test_solver_model_soundness;
          Alcotest.test_case "completeness (small)" `Slow test_solver_completeness_small ]) ]
