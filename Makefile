@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build check test bench bench-quick micro examples lint-models lint-json replay-corpus check-parallel check-smt check-obs check-taint check-topo check-greybox check-scale clean
+.PHONY: all build check test bench bench-quick micro examples lint-models lint-json check-cli replay-corpus check-parallel check-smt check-obs check-taint check-topo check-greybox check-scale clean
 
 MODELS = middleblock tor wan cerberus figure2
 
@@ -17,6 +17,7 @@ check:
 	dune runtest
 	$(MAKE) lint-models
 	$(MAKE) lint-json
+	$(MAKE) check-cli
 	$(MAKE) replay-corpus
 	$(MAKE) check-parallel
 	$(MAKE) check-smt
@@ -25,6 +26,14 @@ check:
 	$(MAKE) check-topo
 	$(MAKE) check-greybox
 	$(MAKE) check-scale
+
+# CLI-boundary gate: an unknown fault id or catalogue name, and a count out
+# of range (--batches < 0, --jobs/--shards < 1, --scale <= 0), must each be
+# a usage error that names the bad value, never an uncaught exception or a
+# silently clamped run; --batches 0 stays valid.
+check-cli:
+	dune build @all
+	sh test/cli_errors.sh $(SWITCHV)
 
 # Regression-corpus gate: every archived incident in the golden corpus must
 # still reproduce on a stack seeded with the fault it was captured under
@@ -230,7 +239,8 @@ check-greybox:
 # archive a byte-identical regression corpus with the staged evaluator on
 # (the default) and off (--no-compile), at --jobs 1 and --jobs 4 — the
 # compiled closures + indexed match structures change throughput, never a
-# single output byte. (2) The indexed-match differential suite (property-
+# single output byte — and so must a seeded fabric campaign, whose stacks
+# and model nodes all follow its one evaluator. (2) The indexed-match differential suite (property-
 # based index-vs-scan, the pinned ternary tie-break, the compiled-vs-
 # interpreted soak). (3) Throughput: the quick scale bench artifact must
 # show >= 10x packets/sec at the 100k-entry tier (its built-in gate).
@@ -248,9 +258,16 @@ check-scale:
 	cmp /tmp/swv_sc_c1.jsonl /tmp/swv_sc_i1.jsonl
 	cmp /tmp/swv_sc_c1.jsonl /tmp/swv_sc_c4.jsonl
 	cmp /tmp/swv_sc_i1.jsonl /tmp/swv_sc_i4.jsonl
+	rm -f /tmp/swv_sc_fc.jsonl /tmp/swv_sc_fi.jsonl
+	! $(SWITCHV) fabric -m middleblock --topo line --switches 3 \
+	  --fault TOPO-001 --fault-switch 1 --shards 4 --save-corpus /tmp/swv_sc_fc.jsonl >/dev/null
+	! $(SWITCHV) fabric -m middleblock --topo line --switches 3 --no-compile \
+	  --fault TOPO-001 --fault-switch 1 --shards 4 --save-corpus /tmp/swv_sc_fi.jsonl >/dev/null
+	cmp /tmp/swv_sc_fc.jsonl /tmp/swv_sc_fi.jsonl
 	dune exec test/test_match.exe -- -e
 	dune exec bench/main.exe -- quick scale
-	rm -f /tmp/swv_sc_c1.jsonl /tmp/swv_sc_c4.jsonl /tmp/swv_sc_i1.jsonl /tmp/swv_sc_i4.jsonl
+	rm -f /tmp/swv_sc_c1.jsonl /tmp/swv_sc_c4.jsonl /tmp/swv_sc_i1.jsonl /tmp/swv_sc_i4.jsonl \
+	  /tmp/swv_sc_fc.jsonl /tmp/swv_sc_fi.jsonl
 
 test:
 	dune runtest

@@ -33,6 +33,7 @@ module Fuzzer = Switchv_fuzzer.Fuzzer
 module Oracle = Switchv_oracle.Oracle
 module Interp = Switchv_bmv2.Interp
 module Compile = Switchv_bmv2.Compile
+module Evaluator = Switchv_bmv2.Evaluator
 module P4info = Switchv_p4ir.P4info
 module Validate = Switchv_p4runtime.Validate
 module Request = Switchv_p4runtime.Request
@@ -869,8 +870,7 @@ let triage_bench () =
       let mk () = Stack.create ~faults:[ fault ] program in
       let config =
         { (Harness.default_config entries) with
-          control = { Control_campaign.default_config with batches = 2; seed = 99 };
-          triage = Some { Harness.default_triage with minimize = false } }
+          control = { Control_campaign.default_config with batches = 2; seed = 99 } }
       in
       let report = Harness.validate mk config in
       let clusters = Option.value ~default:[] report.Report.clusters in
@@ -1054,7 +1054,7 @@ let obs_overhead_bench () =
     let rounds = if !quick then 20 else 60 in
     fun () ->
       for _ = 1 to rounds do
-        List.iter (fun p -> ignore (Interp.run cfg ~ingress_port:1 p)) packets
+        List.iter (fun p -> ignore (Evaluator.run Evaluator.interpreted cfg ~ingress_port:1 p)) packets
       done
   in
   let paths =
@@ -1297,9 +1297,9 @@ let greybox_bench () =
         control =
           { Control_campaign.default_config with
             batches = (if !quick then 2 else 4);
-            seed = 99 };
-        cache = Some (Cache.in_memory ());
-        greybox }
+            seed = 99;
+            greybox };
+        cache = Some (Cache.in_memory ()) }
     in
     let mk () = Stack.create ~faults:[ fault ] Middleblock.program in
     let t0 = now () in
@@ -1407,7 +1407,7 @@ let micro () =
         (let fuzzer = Fuzzer.create Middleblock.info (Rng.create 3) in
          Staged.stage (fun () -> ignore (Fuzzer.next_batch fuzzer)));
       Test.make ~name:"table1.interp_packet"
-        (Staged.stage (fun () -> ignore (Interp.run interp_cfg ~ingress_port:1 packet)));
+        (Staged.stage (fun () -> ignore (Evaluator.run Evaluator.interpreted interp_cfg ~ingress_port:1 packet)));
       Test.make ~name:"table1.oracle_classify"
         (let oracle = Oracle.create Middleblock.info in
          let u = Request.insert (List.hd entries_small) in
@@ -1490,7 +1490,7 @@ let scale_bench () =
         (* One staged run before the routes land: builds the per-table
            indexes, so the timed inserts below pay the incremental
            maintenance cost the campaigns pay. Also amortises staging. *)
-        ignore (Compile.run cfg ~ingress_port:1 (mk_packet 0));
+        ignore (Evaluator.run Compile.evaluator cfg ~ingress_port:1 (mk_packet 0));
         let t0 = now () in
         List.iter (fun e -> ignore (State.insert state e)) routes;
         let t_write = now () -. t0 in
@@ -1514,8 +1514,8 @@ let scale_bench () =
           else if n <= 100_000 then 20
           else 3
         in
-        let pps_compiled, words_per_pkt = pps Compile.run reps_c in
-        let pps_interp, _ = pps Interp.run reps_i in
+        let pps_compiled, words_per_pkt = pps (Evaluator.run Compile.evaluator) reps_c in
+        let pps_interp, _ = pps (Evaluator.run Evaluator.interpreted) reps_i in
         let us_per_pkt = 1e6 /. pps_compiled in
         let speedup = pps_compiled /. pps_interp in
         Printf.printf "%-9d %12.0f %14.0f %9.1f %11.0f %14.1f %8.1fx\n%!" n writes_per_s

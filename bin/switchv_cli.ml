@@ -22,6 +22,8 @@ module Pretty = Switchv_p4ir.Pretty
 module Stack = Switchv_switch.Stack
 module Fault = Switchv_switch.Fault
 module Catalogue = Switchv_switch.Catalogue
+module Evaluator = Switchv_bmv2.Evaluator
+module Compile = Switchv_bmv2.Compile
 module Workload = Switchv_sai.Workload
 module Harness = Switchv_core.Harness
 module Report = Switchv_core.Report
@@ -45,6 +47,30 @@ module Progress = Switchv_obs.Progress
 module Obs_trace = Switchv_obs.Trace
 
 open Cmdliner
+
+(* --- exit contract ---------------------------------------------------------- *)
+
+(* A bad argument value is a usage error (usage hint printed, exit 124); a
+   run that reports incidents or fails its own check is a plain error. *)
+let exit_of = function
+  | Ok () -> `Ok ()
+  | Error (`Usage m) -> `Error (true, m)
+  | Error (`Fail m) -> `Error (false, m)
+
+let ( let* ) = Result.bind
+
+(* [base] values failing [ok] are rejected while parsing, so cmdliner
+   reports them as usage errors that name the option and the value. *)
+let bounded base ~expected ok =
+  let parse s =
+    Result.bind (Arg.conv_parser base s) (fun v ->
+        if ok v then Ok v
+        else Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s expected)))
+  in
+  Arg.conv (parse, Arg.conv_printer base)
+
+let count_at_least min =
+  bounded Arg.int ~expected:(Printf.sprintf "an integer >= %d" min) (fun n -> n >= min)
 
 (* --- shared arguments ---------------------------------------------------- *)
 
@@ -99,7 +125,10 @@ let seed_arg =
 
 let scale_arg =
   let doc = "Workload scale factor relative to the Inst1 profile (798 entries at 1.0)." in
-  Arg.(value & opt float 0.1 & info [ "scale" ] ~docv:"F" ~doc)
+  Arg.(
+    value
+    & opt (bounded float ~expected:"a number > 0" (fun f -> f > 0.)) 0.1
+    & info [ "scale" ] ~docv:"F" ~doc)
 
 let faults_arg =
   let doc =
@@ -110,7 +139,7 @@ let faults_arg =
 
 let batches_arg =
   Arg.(
-    value & opt int 10
+    value & opt (count_at_least 0) 10
     & info [ "batches" ] ~docv:"N" ~doc:"Random fuzz batches after the directed sweep.")
 
 let cache_dir_arg =
@@ -136,19 +165,15 @@ let workload program scale seed =
   Workload.generate ~seed program (Workload.scaled scale Workload.inst1)
 
 let resolve_faults program entries ids =
-  let catalogue =
-    Catalogue.pins program entries
-    @ Catalogue.cerberus program entries
-    @ Catalogue.topo program entries
-  in
-  List.map
-    (fun id ->
-      match List.find_opt (fun (f : Fault.t) -> String.equal f.id id) catalogue with
-      | Some f -> f
-      | None -> failwith (Printf.sprintf "no catalogue fault %S for this model" id))
-    ids
+  Result.map_error (fun m -> `Usage m) (Catalogue.resolve program entries ids)
 
 (* --- validate ------------------------------------------------------------- *)
+
+(* Archive every incident's reproducer, tagged with the seeded fault ids. *)
+let save_corpus report faults path =
+  let records = Harness.corpus_records report faults in
+  Corpus.save path records;
+  Printf.printf "archived %d reproducer(s) to %s\n" (List.length records) path
 
 let save_corpus_arg =
   let doc =
@@ -170,7 +195,7 @@ let jobs_arg =
      by $(b,--shards), so the reported incidents are identical at any jobs \
      count; 1 (the default) forks nothing."
   in
-  Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
+  Arg.(value & opt (count_at_least 1) 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
 let shards_arg =
   let doc =
@@ -179,7 +204,7 @@ let shards_arg =
      campaigns fuzz/generate (unlike $(b,--jobs), which never does); \
      useful values are the jobs count you plan to run with."
   in
-  Arg.(value & opt int 1 & info [ "shards" ] ~docv:"K" ~doc)
+  Arg.(value & opt (count_at_least 1) 1 & info [ "shards" ] ~docv:"K" ~doc)
 
 let no_incremental_arg =
   let doc =
@@ -201,11 +226,20 @@ let no_greybox_arg =
   in
   Arg.(value & flag & info [ "no-greybox" ] ~doc)
 
-let no_compile_arg =
+(* The one place a subcommand's evaluator is chosen: every stack it builds,
+   and with them every model run, uses this value. *)
+let evaluator_arg =
   let doc =
-    "Disable the staged evaluator: run every model execution through the      tree-walking interpreter with linear-scan table lookups instead of      the compiled closures + indexed match structures. Much slower at      scale; incidents, clusters and corpus are byte-identical either way      (see $(b,make check-scale))."
+    "Disable the staged evaluator: run every model execution through the \
+     tree-walking interpreter with linear-scan table lookups instead of \
+     the compiled closures + indexed match structures. Much slower at \
+     scale; incidents, clusters and corpus are byte-identical either way \
+     (see $(b,make check-scale))."
   in
-  Arg.(value & flag & info [ "no-compile" ] ~doc)
+  Term.(
+    const (fun no_compile ->
+        if no_compile then Evaluator.interpreted else Compile.evaluator)
+    $ Arg.(value & flag & info [ "no-compile" ] ~doc))
 
 let no_taint_arg =
   let doc =
@@ -251,22 +285,22 @@ let exposition_routes tele program =
 
 let validate_cmd =
   let run program seed scale fault_ids batches cache_dir trace_file corpus_file
-      minimize jobs shards no_incremental no_taint no_greybox no_compile
+      minimize jobs shards no_incremental no_taint no_greybox evaluator
       metrics_port coverage_out progress =
     let entries = workload program scale seed in
-    let faults = resolve_faults program entries fault_ids in
-    let mk () = Stack.create ~faults ~compile:(not no_compile) program in
+    let* faults = resolve_faults program entries fault_ids in
+    let mk () = Stack.create ~faults ~evaluator program in
     let config =
       { (Harness.default_config entries) with
-        control = { Control_campaign.default_config with batches; seed; shards };
+        control =
+          { Control_campaign.default_config with
+            batches; seed; shards; greybox = not no_greybox };
         cache = Option.map Cache.on_disk cache_dir;
-        triage = Some { Harness.default_triage with minimize };
+        minimize;
         jobs;
         data_shards = shards;
         incremental = not no_incremental;
-        taint = not no_taint;
-        greybox = not no_greybox;
-        compile = not no_compile }
+        taint = not no_taint }
     in
     let tele = Telemetry.get () in
     let server =
@@ -304,27 +338,8 @@ let validate_cmd =
     | Some path, None ->
         Printf.printf "no coverage map collected; %s not written\n" path
     | None, _ -> ());
-    (match corpus_file with
-    | None -> ()
-    | Some path ->
-        let fault_ids = List.map (fun (f : Fault.t) -> f.id) faults in
-        let records =
-          List.filter_map
-            (fun (i : Report.incident) ->
-              Option.map
-                (fun repro ->
-                  { Corpus.c_program = report.Report.program_name;
-                    c_detector = Report.detector_to_string i.detector;
-                    c_kind = i.kind;
-                    c_fingerprint = Report.fingerprint i;
-                    c_faults = fault_ids;
-                    c_repro = repro })
-                i.repro)
-            (Report.incidents report)
-        in
-        Corpus.save path records;
-        Printf.printf "archived %d reproducer(s) to %s\n" (List.length records) path);
-    if Report.clean report then Ok () else Error (false, "incidents reported")
+    Option.iter (save_corpus report faults) corpus_file;
+    if Report.clean report then Ok () else Error (`Fail "incidents reported")
   in
   let metrics_port_arg =
     let doc =
@@ -354,25 +369,22 @@ let validate_cmd =
   Cmd.v
     (Cmd.info "validate" ~doc)
     Term.(
-      term_result' ~usage:false
-        (const (fun p s sc f b c t cf mz j sh ni nt ng nc mp co pr ->
-             match run p s sc f b c t cf mz j sh ni nt ng nc mp co pr with
-             | Ok () -> Ok ()
-             | Error (_, m) -> Error m)
-        $ model_arg $ seed_arg $ scale_arg $ faults_arg $ batches_arg $ cache_dir_arg
-        $ trace_file_arg $ save_corpus_arg $ minimize_arg $ jobs_arg $ shards_arg
-        $ no_incremental_arg $ no_taint_arg $ no_greybox_arg $ no_compile_arg
-        $ metrics_port_arg $ coverage_out_arg $ progress_arg))
+      ret
+        (map exit_of
+           (const run $ model_arg $ seed_arg $ scale_arg $ faults_arg $ batches_arg
+          $ cache_dir_arg $ trace_file_arg $ save_corpus_arg $ minimize_arg $ jobs_arg
+          $ shards_arg $ no_incremental_arg $ no_taint_arg $ no_greybox_arg
+          $ evaluator_arg $ metrics_port_arg $ coverage_out_arg $ progress_arg)))
 
 (* --- replay ---------------------------------------------------------------- *)
 
 let replay_cmd =
   let run program seed scale fault_ids corpus_path expect_reproduce =
     let entries = workload program scale seed in
-    let faults = resolve_faults program entries fault_ids in
+    let* faults = resolve_faults program entries fault_ids in
     let mk () = Stack.create ~faults program in
     match Corpus.load corpus_path with
-    | Error e -> Error e
+    | Error e -> Error (`Fail e)
     | Ok records ->
         let reproduced = ref 0 in
         List.iteri
@@ -394,10 +406,11 @@ let replay_cmd =
           if !reproduced = total then Ok ()
           else
             Error
-              (Printf.sprintf "%d archived incident(s) did not reproduce"
-                 (total - !reproduced))
+              (`Fail
+                 (Printf.sprintf "%d archived incident(s) did not reproduce"
+                    (total - !reproduced)))
         else if !reproduced = 0 then Ok ()
-        else Error (Printf.sprintf "%d regression(s) reproduced" !reproduced)
+        else Error (`Fail (Printf.sprintf "%d regression(s) reproduced" !reproduced))
   in
   let corpus_arg =
     let doc = "The JSONL regression corpus to replay." in
@@ -420,49 +433,30 @@ let replay_cmd =
   Cmd.v
     (Cmd.info "replay" ~doc)
     Term.(
-      term_result' ~usage:false
-        (const (fun p s sc f c e ->
-             match run p s sc f c e with Ok () -> Ok () | Error m -> Error m)
-        $ model_arg $ seed_arg $ scale_arg $ faults_arg $ corpus_arg
-        $ expect_reproduce_arg))
+      ret
+        (map exit_of
+           (const run $ model_arg $ seed_arg $ scale_arg $ faults_arg $ corpus_arg
+          $ expect_reproduce_arg)))
 
 (* --- fabric ---------------------------------------------------------------- *)
 
 let fabric_cmd =
   let run program shape switches spines seed fault_ids fault_switch budget
-      no_packet_out jobs shards minimize no_compile trace_file corpus_file =
+      no_packet_out jobs shards minimize evaluator trace_file corpus_file =
     match
       (try Ok (Topo.build ?spines shape switches)
-       with Invalid_argument m -> Error m)
+       with Invalid_argument m -> Error (`Fail m))
     with
-    | Error m -> Error m
+    | Error _ as e -> e
     | Ok topo ->
         if fault_switch < 0 || fault_switch >= Topo.switches topo then
-          Error (Printf.sprintf "--fault-switch %d out of range" fault_switch)
+          Error (`Fail (Printf.sprintf "--fault-switch %d out of range" fault_switch))
         else begin
           (* Resolve fault ids against the seeded switch's own route plan
              (catalogue constructors that need entries, e.g. table names,
              see what that switch will be programmed with). *)
           let entries = Routes.entries topo program ~switch:fault_switch in
-          let catalogue =
-            Catalogue.pins program entries
-            @ Catalogue.cerberus program entries
-            @ Catalogue.topo program entries
-          in
-          let faults =
-            List.map
-              (fun id ->
-                match
-                  List.find_opt
-                    (fun (f : Fault.t) -> String.equal f.id id)
-                    catalogue
-                with
-                | Some f -> f
-                | None ->
-                    failwith
-                      (Printf.sprintf "no catalogue fault %S for this model" id))
-              fault_ids
-          in
+          let* faults = resolve_faults program entries fault_ids in
           let cfg =
             { (Fabric_campaign.default_config shape switches) with
               Fabric_campaign.spines;
@@ -472,7 +466,7 @@ let fabric_cmd =
               packet_out = not no_packet_out;
               faults = (if faults = [] then [] else [ (fault_switch, faults) ]);
               minimize;
-              compile = not no_compile }
+              evaluator }
           in
           let tele = Telemetry.get () in
           let incidents, stats =
@@ -488,28 +482,8 @@ let fabric_cmd =
               coverage = Some (Coverage.of_registry tele program) }
           in
           Format.printf "%a@." Report.pp report;
-          (match corpus_file with
-          | None -> ()
-          | Some path ->
-              let fault_ids = List.map (fun (f : Fault.t) -> f.id) faults in
-              let records =
-                List.filter_map
-                  (fun (i : Report.incident) ->
-                    Option.map
-                      (fun repro ->
-                        { Corpus.c_program = report.Report.program_name;
-                          c_detector = Report.detector_to_string i.detector;
-                          c_kind = i.kind;
-                          c_fingerprint = Report.fingerprint i;
-                          c_faults = fault_ids;
-                          c_repro = repro })
-                      i.repro)
-                  (Report.incidents report)
-              in
-              Corpus.save path records;
-              Printf.printf "archived %d reproducer(s) to %s\n"
-                (List.length records) path);
-          if Report.clean report then Ok () else Error "incidents reported"
+          Option.iter (save_corpus report faults) corpus_file;
+          if Report.clean report then Ok () else Error (`Fail "incidents reported")
         end
   in
   let shape_conv =
@@ -557,23 +531,20 @@ let fabric_cmd =
   Cmd.v
     (Cmd.info "fabric" ~doc)
     Term.(
-      term_result' ~usage:false
-        (const (fun p t sw sp s f fs b np j sh mz nc tr cf ->
-             match run p t sw sp s f fs b np j sh mz nc tr cf with
-             | Ok () -> Ok ()
-             | Error m -> Error m)
-        $ model_arg $ topo_arg $ switches_arg $ spines_arg $ seed_arg
-        $ faults_arg $ fault_switch_arg $ budget_arg $ no_packet_out_arg
-        $ jobs_arg $ shards_arg $ minimize_arg $ no_compile_arg
-        $ trace_file_arg $ save_corpus_arg))
+      ret
+        (map exit_of
+           (const run $ model_arg $ topo_arg $ switches_arg $ spines_arg $ seed_arg
+          $ faults_arg $ fault_switch_arg $ budget_arg $ no_packet_out_arg $ jobs_arg
+          $ shards_arg $ minimize_arg $ evaluator_arg $ trace_file_arg
+          $ save_corpus_arg)))
 
 (* --- fuzz ------------------------------------------------------------------- *)
 
 let fuzz_cmd =
-  let run program seed fault_ids batches no_greybox no_compile =
+  let run program seed fault_ids batches no_greybox evaluator =
     let entries = workload program 0.1 seed in
-    let faults = resolve_faults program entries fault_ids in
-    let stack = Stack.create ~faults ~compile:(not no_compile) program in
+    let* faults = resolve_faults program entries fault_ids in
+    let stack = Stack.create ~faults ~evaluator program in
     let incidents, stats =
       Control_campaign.run stack
         { Control_campaign.default_config with
@@ -586,14 +557,17 @@ let fuzz_cmd =
       Printf.printf "greybox: %d novel edges, %d corpus seeds\n"
         stats.cs_novel_edges stats.cs_corpus_seeds;
     List.iter (fun i -> Format.printf "%a@." Report.pp_incident i) incidents;
-    Printf.printf "%d incident(s)\n" (List.length incidents)
+    Printf.printf "%d incident(s)\n" (List.length incidents);
+    Ok ()
   in
   let doc = "Run the control-plane fuzzing campaign only (p4-fuzzer + oracle)." in
   Cmd.v
     (Cmd.info "fuzz" ~doc)
     Term.(
-      const run $ model_arg $ seed_arg $ faults_arg $ batches_arg
-      $ no_greybox_arg $ no_compile_arg)
+      ret
+        (map exit_of
+           (const run $ model_arg $ seed_arg $ faults_arg $ batches_arg
+          $ no_greybox_arg $ evaluator_arg)))
 
 (* --- genpackets ---------------------------------------------------------------- *)
 
@@ -697,7 +671,7 @@ let lint_cmd =
       List.iter (fun d -> Format.printf "%a@." Diagnostics.pp d) shown;
       Format.printf "%s: %a@." program.Ast.p_name Diagnostics.pp_summary all
     end;
-    if Diagnostics.has_errors all then Error (false, "lint errors reported")
+    if Diagnostics.has_errors all then Error (`Fail "lint errors reported")
     else Ok ()
   in
   let json_arg =
@@ -742,26 +716,26 @@ let lint_cmd =
   Cmd.v
     (Cmd.info "lint" ~doc)
     Term.(
-      term_result' ~usage:false
-        (const (fun p sev nr j ->
-             match run p sev nr j with Ok () -> Ok () | Error (_, m) -> Error m)
-        $ model_arg $ severity_arg $ no_restrictions $ json_arg))
+      ret
+        (map exit_of (const run $ model_arg $ severity_arg $ no_restrictions $ json_arg)))
 
 (* --- trivial --------------------------------------------------------------------- *)
 
 let trivial_cmd =
   let run program seed fault_ids =
     let entries = workload program 0.1 seed in
-    let faults = resolve_faults program entries fault_ids in
+    let* faults = resolve_faults program entries fault_ids in
     let results = Trivial_suite.run_all (Stack.create ~faults program) in
     List.iter
       (fun (t, ok) ->
         Printf.printf "%-28s %s\n" (Fault.trivial_test_to_string t)
           (if ok then "PASS" else "FAIL"))
-      results
+      results;
+    Ok ()
   in
   let doc = "Run the trivial integration-test suite of the paper's Table 2." in
-  Cmd.v (Cmd.info "trivial" ~doc) Term.(const run $ model_arg $ seed_arg $ faults_arg)
+  Cmd.v (Cmd.info "trivial" ~doc)
+    Term.(ret (map exit_of (const run $ model_arg $ seed_arg $ faults_arg)))
 
 (* --- model ------------------------------------------------------------------------- *)
 
@@ -781,7 +755,7 @@ let model_cmd =
 let metrics_cmd =
   let run program seed fault_ids =
     let entries = workload program 0.1 seed in
-    let faults = resolve_faults program entries fault_ids in
+    let* faults = resolve_faults program entries fault_ids in
     let metrics =
       Switchv_core.Metrics.collect (fun () -> Stack.create ~faults program) entries
     in
@@ -792,36 +766,37 @@ let metrics_cmd =
           [ "ipv4_table"; "ipv6_table"; "nexthop_table"; "wcmp_group_table";
             "router_interface_table"; "neighbor_table" ]
     in
-    Format.printf "%a@." Switchv_core.Metrics.pp [ routing ]
+    Format.printf "%a@." Switchv_core.Metrics.pp [ routing ];
+    Ok ()
   in
   let doc = "Per-table OKR coverage metrics (§7): fuzz handling and packet behaviour." in
-  Cmd.v (Cmd.info "metrics" ~doc) Term.(const run $ model_arg $ seed_arg $ faults_arg)
+  Cmd.v (Cmd.info "metrics" ~doc)
+    Term.(ret (map exit_of (const run $ model_arg $ seed_arg $ faults_arg)))
 
 (* --- catalogue ----------------------------------------------------------------------- *)
 
 let catalogue_cmd =
+  let stacks =
+    [ ("pins", (Catalogue.pins, Switchv_sai.Middleblock.program));
+      ("cerberus", (Catalogue.cerberus, Switchv_sai.Cerberus.program));
+      ("topo", (Catalogue.topo, Switchv_sai.Middleblock.program)) ]
+  in
   let run which =
-    let entries p = Workload.generate ~seed:1 p Workload.small in
-    let faults =
-      match which with
-      | "pins" ->
-          Catalogue.pins Switchv_sai.Middleblock.program
-            (entries Switchv_sai.Middleblock.program)
-      | "cerberus" ->
-          Catalogue.cerberus Switchv_sai.Cerberus.program
-            (entries Switchv_sai.Cerberus.program)
-      | "topo" ->
-          Catalogue.topo Switchv_sai.Middleblock.program
-            (entries Switchv_sai.Middleblock.program)
-      | other ->
-          failwith (Printf.sprintf "unknown catalogue %S (pins|cerberus|topo)" other)
-    in
+    let catalogue, program = List.assoc which stacks in
+    let faults = catalogue program (Workload.generate ~seed:1 program Workload.small) in
     List.iter (fun f -> Format.printf "%a@." Fault.pp f) faults;
     Printf.printf "%d faults\n" (List.length faults)
   in
+  let which_conv =
+    let parse s =
+      if List.mem_assoc s stacks then Ok s
+      else Error (`Msg (Printf.sprintf "unknown catalogue %S (pins|cerberus|topo)" s))
+    in
+    Arg.conv (parse, Format.pp_print_string)
+  in
   let which =
     Arg.(
-      value & pos 0 string "pins"
+      value & pos 0 which_conv "pins"
       & info [] ~docv:"STACK" ~doc:"pins, cerberus, or topo")
   in
   let doc = "List the seeded-bug catalogue (the paper's Table 1 population)." in
@@ -961,9 +936,8 @@ let top_cmd =
     (Cmd.info "top" ~doc)
     Term.(
       term_result' ~usage:false
-        (const (fun h p i o f l ->
-             match run h p i o f l with Ok () -> Ok () | Error m -> Error m)
-        $ host_arg $ port_arg $ interval_arg $ once_arg $ fetch_arg $ lint_arg))
+        (const run $ host_arg $ port_arg $ interval_arg $ once_arg $ fetch_arg
+       $ lint_arg))
 
 (* --- trace-export --------------------------------------------------------------------- *)
 
@@ -1026,10 +1000,7 @@ let trace_export_cmd =
   Cmd.v
     (Cmd.info "trace-export" ~doc)
     Term.(
-      term_result' ~usage:false
-        (const (fun i c o ->
-             match run i c o with Ok () -> Ok () | Error m -> Error m)
-        $ input_arg $ chrome_arg $ output_arg))
+      term_result' ~usage:false (const run $ input_arg $ chrome_arg $ output_arg))
 
 let () =
   (* Ctrl-C raises [Sys.Break] so in-flight work unwinds through its

@@ -16,6 +16,7 @@ module Validate = Switchv_p4runtime.Validate
 module State = Switchv_p4runtime.State
 module Status = Switchv_p4runtime.Status
 module Interp = Switchv_bmv2.Interp
+module Evaluator = Switchv_bmv2.Evaluator
 module Symexec = Switchv_symbolic.Symexec
 module Packetgen = Switchv_symbolic.Packetgen
 module Packet = Switchv_packet.Packet
@@ -74,7 +75,7 @@ let () =
     { Interp.program; state; hash_mode = Interp.Seeded 1; mirror_map = [] }
   in
   let packet = Packet.simple_ipv4 ~src:"192.0.2.1" ~dst:"10.0.0.7" () in
-  let b = Interp.run_packet cfg ~ingress_port:1 packet in
+  let b = Evaluator.run_packet Evaluator.interpreted cfg ~ingress_port:1 packet in
   Format.printf "packet to 10.0.0.7: %a@." Interp.pp_behavior b;
   Format.printf "  (i5 matches 10.0.*.* with prefix /16, i1 matches /8 — the longer prefix wins)@.";
   List.iter (fun (t, a) -> Format.printf "  %s -> %s@." t a) b.b_trace;
@@ -96,7 +97,7 @@ let () =
       | Some bytes ->
           Format.printf "goal %s: generated %d-byte packet on port %d@." tp.tp_goal
             (String.length bytes) tp.tp_port;
-          let b = Interp.run cfg ~ingress_port:tp.tp_port bytes in
+          let b = Evaluator.run Evaluator.interpreted cfg ~ingress_port:tp.tp_port bytes in
           Format.printf "  interpreter confirms: %a@." Interp.pp_behavior b;
           List.iter (fun (t, a) -> Format.printf "  %s -> %s@." t a) b.b_trace
       | None -> Format.printf "goal %s: UNSATISFIABLE@." tp.tp_goal)

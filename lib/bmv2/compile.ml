@@ -1,8 +1,8 @@
 (* Staged evaluator: a one-time compilation pass that turns each parser
    state, expression, action, table and pipeline of a P4 model into OCaml
-   closures, replacing {!Interp}'s per-packet AST walk. The API mirrors
-   [Interp] ([run] / [run_info] / [run_packet_out] / [enumerate_behaviors])
-   and is behavior-identical by construction:
+   closures, replacing {!Interp}'s per-packet AST walk. It is one
+   {!Evaluator.t} value — the entry points are {!Evaluator}'s — and is
+   behavior-identical to {!Evaluator.interpreted} by construction:
 
    - the per-packet runtime state is [Interp.rt] itself, built by
      [Interp.fresh_rt] and finished by [Interp.finish], so deparsing,
@@ -26,7 +26,6 @@
    and test/test_match.ml drives both evaluators differentially. *)
 
 module Bitvec = Switchv_bitvec.Bitvec
-module Packet = Switchv_packet.Packet
 module Header = Switchv_packet.Header
 module Ast = Switchv_p4ir.Ast
 module Entry = Switchv_p4runtime.Entry
@@ -442,54 +441,11 @@ let stage program =
 
 (* --- top level -------------------------------------------------------------- *)
 
-let run_rt (cfg : Interp.config) ~ingress_port bytes =
-  let s = stage cfg.Interp.program in
-  let rt = Interp.fresh_rt cfg in
-  Interp.write_field rt (Ast.std "ingress_port") (Bitvec.of_int ~width:16 ingress_port);
+let evaluator : Evaluator.t =
+ fun rt bytes ->
+  let s = stage rt.Interp.cfg.program in
   s.st_parse rt bytes;
   s.st_ingress rt;
-  s.st_egress rt;
-  rt
+  s.st_egress rt
 
-let run cfg ~ingress_port bytes = Interp.finish (run_rt cfg ~ingress_port bytes)
-
-let run_info cfg ~ingress_port bytes =
-  let rt = run_rt cfg ~ingress_port bytes in
-  { Interp.ri_behavior = Interp.finish rt;
-    ri_hash_calls = rt.Interp.hash_calls;
-    ri_valid =
-      List.filter_map
-        (fun (h : Header.t) ->
-          if Interp.is_valid rt h.Header.name then Some h.Header.name else None)
-        cfg.Interp.program.p_headers }
-
-let run_packet cfg ~ingress_port packet = run cfg ~ingress_port (Packet.to_bytes packet)
-
-let run_packet_out (cfg : Interp.config) ~egress_port packet =
-  match egress_port with
-  | Some port ->
-      { Interp.b_egress = Some port;
-        b_punted = false;
-        b_mirrors = [];
-        b_packet = Packet.to_bytes packet;
-        b_trace = [ ("<packet-out>", "direct") ] }
-  | None ->
-      let s = stage cfg.Interp.program in
-      let rt = Interp.fresh_rt cfg in
-      Interp.write_field rt (Ast.std "submit_to_ingress") (Bitvec.of_int ~width:1 1);
-      s.st_parse rt (Packet.to_bytes packet);
-      s.st_ingress rt;
-      s.st_egress rt;
-      Interp.finish rt
-
-let enumerate_behaviors ?(max_rounds = 32) cfg ~ingress_port bytes =
-  let rounds = min max_rounds (Interp.hash_rounds cfg) in
-  let rec go round acc =
-    if round >= rounds then List.rev acc
-    else begin
-      let b = run { cfg with Interp.hash_mode = Interp.Fixed round } ~ingress_port bytes in
-      if List.exists (Interp.behavior_equal b) acc then go (round + 1) acc
-      else go (round + 1) (b :: acc)
-    end
-  in
-  go 0 []
+let run cfg ~ingress_port bytes = Evaluator.run evaluator cfg ~ingress_port bytes

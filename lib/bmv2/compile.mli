@@ -4,25 +4,16 @@
     ({!Switchv_match.Index} via {!State.index_lookup}), replacing the
     interpreter's per-packet AST walk and O(entries) scans.
 
-    The API mirrors {!Interp} and is behavior-identical: same [behavior]
+    It is behavior-identical to {!Evaluator.interpreted}: same [behavior]
     (trace included), same coverage-counter keys (branch ids baked with
     the interpreter's pre-order numbering), same hash-call accounting,
-    same [Parse_failure] messages. [Interp] remains the retained
-    linear-scan reference — campaigns run with [--no-compile] must be
-    byte-identical (see `make check-scale`), and test/test_match.ml
-    drives both differentially.
+    same [Parse_failure] messages.
 
     Staged pipelines are memoized per program value (physical equality,
     bounded), so staging is a one-time cost per long-lived program. *)
 
-module Packet = Switchv_packet.Packet
+val evaluator : Evaluator.t
+(** The staged evaluator; the default for stacks and campaigns. *)
 
 val run : Interp.config -> ingress_port:int -> string -> Interp.behavior
-val run_info : Interp.config -> ingress_port:int -> string -> Interp.run_info
-val run_packet : Interp.config -> ingress_port:int -> Packet.t -> Interp.behavior
-
-val run_packet_out :
-  Interp.config -> egress_port:int option -> Packet.t -> Interp.behavior
-
-val enumerate_behaviors :
-  ?max_rounds:int -> Interp.config -> ingress_port:int -> string -> Interp.behavior list
+(** [Evaluator.run evaluator]. *)

@@ -38,6 +38,11 @@ let pp_behavior fmt b =
   if b.b_punted then Format.fprintf fmt " + punt";
   List.iter (fun (p, _) -> Format.fprintf fmt " + mirror(port=%d)" p) b.b_mirrors
 
+let pp_behavior_set fmt bs =
+  Format.fprintf fmt "{%a}"
+    (Format.pp_print_list ~pp_sep:(fun fmt () -> Format.pp_print_string fmt "; ") pp_behavior)
+    bs
+
 exception Parse_failure of string
 
 (* Mutable per-packet execution state. *)
@@ -387,48 +392,17 @@ let finish rt =
     b_packet = out_bytes;
     b_trace = List.rev rt.trace }
 
-let run_rt cfg ~ingress_port bytes =
-  let rt = fresh_rt cfg in
-  write_field rt (Ast.std "ingress_port") (Bitvec.of_int ~width:16 ingress_port);
+let pipeline rt bytes =
+  let program = rt.cfg.program in
   parse_packet rt bytes;
-  exec_control rt 1 cfg.program.p_ingress;
-  exec_control rt (1 + count_ifs cfg.program.p_ingress) cfg.program.p_egress;
-  rt
-
-let run cfg ~ingress_port bytes = finish (run_rt cfg ~ingress_port bytes)
+  exec_control rt 1 program.p_ingress;
+  exec_control rt (1 + count_ifs program.p_ingress) program.p_egress
 
 type run_info = {
   ri_behavior : behavior;
   ri_hash_calls : int;
   ri_valid : string list;
 }
-
-let run_info cfg ~ingress_port bytes =
-  let rt = run_rt cfg ~ingress_port bytes in
-  { ri_behavior = finish rt;
-    ri_hash_calls = rt.hash_calls;
-    ri_valid =
-      List.filter_map
-        (fun (h : Header.t) -> if is_valid rt h.name then Some h.name else None)
-        cfg.program.p_headers }
-
-let run_packet cfg ~ingress_port packet = run cfg ~ingress_port (Packet.to_bytes packet)
-
-let run_packet_out cfg ~egress_port packet =
-  match egress_port with
-  | Some port ->
-      { b_egress = Some port;
-        b_punted = false;
-        b_mirrors = [];
-        b_packet = Packet.to_bytes packet;
-        b_trace = [ ("<packet-out>", "direct") ] }
-  | None ->
-      let rt = fresh_rt cfg in
-      write_field rt (Ast.std "submit_to_ingress") (Bitvec.of_int ~width:1 1);
-      parse_packet rt (Packet.to_bytes packet);
-      exec_control rt 1 cfg.program.p_ingress;
-      exec_control rt (1 + count_ifs cfg.program.p_ingress) cfg.program.p_egress;
-      finish rt
 
 (* Hash outcomes worth distinguishing: Fixed h selects WCMP bucket
    [h mod total_weight], so rounds 0 .. max_total_weight - 1 reach every
@@ -450,15 +424,3 @@ let hash_rounds cfg =
       1 cfg.program.p_tables
   in
   max_total
-
-let enumerate_behaviors ?(max_rounds = 32) cfg ~ingress_port bytes =
-  let rounds = min max_rounds (hash_rounds cfg) in
-  let rec go round acc =
-    if round >= rounds then List.rev acc
-    else begin
-      let b = run { cfg with hash_mode = Fixed round } ~ingress_port bytes in
-      if List.exists (behavior_equal b) acc then go (round + 1) acc
-      else go (round + 1) (b :: acc)
-    end
-  in
-  go 0 []

@@ -4,7 +4,9 @@
     program's parser, match-action pipeline evaluation against installed
     table entries, action execution, and deparsing. SwitchV runs generated
     test packets through this interpreter and through the switch under
-    test, and compares behaviours (§5).
+    test, and compares behaviours (§5). The per-packet entry points
+    ([run], [run_info], packet-out, behaviour enumeration) are in
+    {!Evaluator}: this module's tree walk is {!Evaluator.interpreted}.
 
     {b Hashing.} Black-box hashes ([E_hash], and the implicit selector hash
     of one-shot WCMP tables) are pluggable. [Seeded] mode computes a real
@@ -49,39 +51,24 @@ val behavior_equal : behavior -> behavior -> bool
 
 val pp_behavior : Format.formatter -> behavior -> unit
 
+val pp_behavior_set : Format.formatter -> behavior list -> unit
+(** [{b1; b2; ...}]: the behaviours a model admits, for incident details. *)
+
 exception Parse_failure of string
 (** Raised when the input bytes cannot be parsed by the program's parser
     (truncated packet, or no transition matches and the default leads
     nowhere). *)
 
-val run : config -> ingress_port:int -> string -> behavior
-(** Process raw wire bytes arriving on [ingress_port]. *)
-
-(** {!run} plus the execution facts a set-valued oracle needs: whether the
-    run consulted a hash at all (if not, the behaviour is deterministic
-    and needs no enumeration), and which headers were valid at deparse
-    (the wire-format layout, for masked byte comparison). *)
+(** The execution facts a set-valued oracle needs beside the behaviour:
+    whether the run consulted a hash at all (if not, the behaviour is
+    deterministic and needs no enumeration), and which headers were valid
+    at deparse (the wire-format layout, for masked byte comparison).
+    Produced by {!Evaluator.run_info}. *)
 type run_info = {
   ri_behavior : behavior;
   ri_hash_calls : int;    (** hash applications during the run *)
   ri_valid : string list; (** valid headers at deparse, in wire order *)
 }
-
-val run_info : config -> ingress_port:int -> string -> run_info
-
-val run_packet : config -> ingress_port:int -> Packet.t -> behavior
-(** Convenience: serialises the packet first. *)
-
-val run_packet_out :
-  config -> egress_port:int option -> Packet.t -> behavior
-(** Controller packet-out: [Some port] bypasses the pipeline and emits
-    directly; [None] submits to ingress (sets [std.submit_to_ingress]). *)
-
-val enumerate_behaviors :
-  ?max_rounds:int -> config -> ingress_port:int -> string -> behavior list
-(** Round-robin over hash outcomes until the behaviour set stops growing
-    (or [max_rounds], default 32): the set of possible behaviours of a
-    non-deterministic program on this packet. *)
 
 val ordered_entries : Ast.table -> Entry.t list -> Entry.t list
 (** The table's entries in match-precedence order (priority descending for
@@ -96,7 +83,8 @@ val hash_rounds : config -> int
 
 (** {2 Evaluator internals}
 
-    Shared with the staged evaluator ({!Compile}), which reuses the
+    Shared with {!Evaluator}, which runs every entry point over a fresh
+    [rt], and with the staged evaluator ({!Compile}), which reuses the
     interpreter's per-packet runtime state, finishing logic and coverage
     emission so the two are behavior-identical by construction; also used
     by differential tests as the linear-scan reference. *)
@@ -126,6 +114,11 @@ val fresh_rt : config -> rt
 
 val finish : rt -> behavior
 (** Deparse and resolve drop/punt/mirror into a behavior. *)
+
+val pipeline : rt -> string -> unit
+(** The tree-walking pipeline: parse the bytes into [rt], then run
+    ingress and egress by walking the AST with linear-scan table
+    lookups. {!Evaluator.interpreted} is this function. *)
 
 val count_ifs : Ast.control -> int
 

@@ -5,7 +5,7 @@ module Request = Switchv_p4runtime.Request
 module Status = Switchv_p4runtime.Status
 module State = Switchv_p4runtime.State
 module Interp = Switchv_bmv2.Interp
-module Compile = Switchv_bmv2.Compile
+module Evaluator = Switchv_bmv2.Evaluator
 module Symexec = Switchv_symbolic.Symexec
 module Packetgen = Switchv_symbolic.Packetgen
 module Cache = Switchv_symbolic.Cache
@@ -22,9 +22,7 @@ module Jsonp = Switchv_triage.Jsonp
 
 type config = {
   entries : Entry.t list;
-  ports : int list;
   extra_goals : Symexec.encoding -> Packetgen.goal list;
-  include_branch_goals : bool;
   prune_dead_goals : bool;
   cache : Cache.t option;
   max_incidents : int;
@@ -35,10 +33,6 @@ type config = {
   greybox : bool;
       (* per-packet coverage-delta capture + corpus admission (slice-local,
          jobs-deterministic); feeds the fuzzer.greybox.* totals *)
-  compile : bool;
-      (* staged evaluator for every model execution (table lookups served
-         from indexed match structures); [false] is the linear-scan
-         reference path ([--no-compile]), byte-identical by contract *)
   covered_edges : string list;
       (* edges the caller already covered concretely (the harness passes
          the control campaign's delta): branch goals over them skip SMT.
@@ -48,11 +42,9 @@ type config = {
 }
 
 let default_config entries =
-  { entries; ports = [ 1; 2; 3; 4 ]; extra_goals = (fun _ -> []);
-    include_branch_goals = true; prune_dead_goals = true;
+  { entries; extra_goals = (fun _ -> []); prune_dead_goals = true;
     cache = None; max_incidents = 25; test_packet_io = true; shards = 1;
-    incremental = true; taint = true; greybox = true; compile = true;
-    covered_edges = [] }
+    incremental = true; taint = true; greybox = true; covered_edges = [] }
 
 let exploratory_goals (enc : Symexec.encoding) =
   let ether_type = Term.var (Symexec.field_var ~header:"ethernet" ~field:"ether_type") 16 in
@@ -137,30 +129,6 @@ let install stack entries add_incident =
     batches;
   !installed
 
-let behavior_set_packet_out ?(compile = true) model_cfg po =
-  (* Enumerate hash outcomes for submit-to-ingress processing. *)
-  let rounds = min 32 (Interp.hash_rounds model_cfg) in
-  let runner = if compile then Compile.run_packet_out else Interp.run_packet_out in
-  let rec go round acc =
-    if round >= rounds then List.rev acc
-    else begin
-      let b =
-        runner { model_cfg with Interp.hash_mode = Interp.Fixed round }
-          ~egress_port:po.Request.po_egress_port po.Request.po_payload
-      in
-      if List.exists (Interp.behavior_equal b) acc then go (round + 1) acc
-      else go (round + 1) (b :: acc)
-    end
-  in
-  go 0 []
-
-let pp_behavior_set fmt bs =
-  Format.fprintf fmt "{%a}"
-    (Format.pp_print_list
-       ~pp_sep:(fun fmt () -> Format.pp_print_string fmt "; ")
-       Interp.pp_behavior)
-    bs
-
 (* --- goal slices -----------------------------------------------------------
 
    The campaign shards by coverage-goal partition: contiguous slices of the
@@ -214,7 +182,7 @@ let run_slice stack config ~oracle ~encoding ~base_incidents (offset, goals) =
   let gen_start = Telemetry.Clock.now () in
   let generated =
     Telemetry.with_span tele "campaign.generation" (fun () ->
-        Packetgen.generate ~ports:config.ports ~index_offset:offset
+        Packetgen.generate ~index_offset:offset
           ?cache:config.cache ~incremental:config.incremental encoding goals)
   in
   let sl_gen_s = Telemetry.Clock.duration ~since:gen_start in
@@ -271,7 +239,7 @@ let run_slice stack config ~oracle ~encoding ~base_incidents (offset, goals) =
                     (Format.asprintf
                        "goal %s (port %d): switch behaved %a, model admits %a"
                        tp.tp_goal tp.tp_port Interp.pp_behavior switch_b
-                       pp_behavior_set model_bs))
+                       Interp.pp_behavior_set model_bs))
           | Some _ -> ())
         generated.packets);
   let sl_test_s = Telemetry.Clock.duration ~since:test_start in
@@ -393,9 +361,7 @@ let run ?(push_p4info = true) ?(jobs = 1) stack config =
         let prefer = Term.not_ encoding.enc_dropped in
         let goals =
           Packetgen.entry_coverage_goals ~prefer encoding
-          @ (if config.include_branch_goals then
-               Packetgen.branch_coverage_goals ~prefer encoding
-             else [])
+          @ Packetgen.branch_coverage_goals ~prefer encoding
           @ config.extra_goals encoding
         in
         (* Static analysis proves some goals uncoverable (dead tables,
@@ -443,7 +409,7 @@ let run ?(push_p4info = true) ?(jobs = 1) stack config =
         (encoding, goals, tainted, taint_summary))
   in
   let oracle =
-    Dataplane.create ~compile:config.compile model_cfg ~taint:taint_summary
+    Dataplane.create ~evaluator:(Stack.evaluator stack) model_cfg ~taint:taint_summary
   in
   let prep_s = Telemetry.Clock.duration ~since:prep_start in
   (* Denominator for live progress/ETA; counted in the parent before any
@@ -554,15 +520,18 @@ let run ?(push_p4info = true) ?(jobs = 1) stack config =
           add "packet-out divergence"
             ~context:(Report.context ~goal:(Printf.sprintf "packet-out:port:%d" port) ())
             (Format.asprintf "packet-out to port %d behaved %a" port Interp.pp_behavior b))
-      config.ports;
+      Packetgen.ports;
     let po = { Request.po_payload = payload; po_egress_port = None } in
     let switch_b = Stack.packet_out stack po in
-    let model_bs = behavior_set_packet_out ~compile:config.compile model_cfg po in
+    let model_bs =
+      Evaluator.enumerate_packet_out (Stack.evaluator stack) model_cfg
+        ~egress_port:po.po_egress_port po.po_payload
+    in
     if not (List.exists (Interp.behavior_equal switch_b) model_bs) then
       add "submit-to-ingress divergence"
         ~context:(Report.context ~goal:"packet-out:submit" ())
         (Format.asprintf "switch behaved %a, model admits %a" Interp.pp_behavior switch_b
-           pp_behavior_set model_bs)
+           Interp.pp_behavior_set model_bs)
   end);
   let test_time = slice_test_time +. Telemetry.Clock.duration ~since:io_start in
   let stats =

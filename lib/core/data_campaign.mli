@@ -8,7 +8,10 @@
     when the fast checks cannot decide).
 
     Also exercises the controller packet-I/O contract: packet-out to every
-    port, and submit-to-ingress processing. *)
+    port of {!Packetgen.ports}, and submit-to-ingress processing.
+
+    The reference model runs through {!Stack.evaluator} of the stack under
+    test, so the evaluator is chosen once, where the stack is built. *)
 
 module Stack = Switchv_switch.Stack
 module Entry = Switchv_p4runtime.Entry
@@ -18,10 +21,8 @@ module Cache = Switchv_symbolic.Cache
 type config = {
   entries : Entry.t list;
       (** the replayed forwarding state, in dependency order *)
-  ports : int list;                  (** ingress ports packets may use *)
   extra_goals : Switchv_symbolic.Symexec.encoding -> Packetgen.goal list;
       (** tester-provided coverage assertions, built once the encoding exists *)
-  include_branch_goals : bool;
   prune_dead_goals : bool;
       (** drop goals static analysis proves uncoverable (dead tables,
           statically-decided branches) before the SMT stage; on by
@@ -58,13 +59,6 @@ type config = {
           Observation only — it never alters which packets are generated
           or injected — and slice-local, so results stay byte-identical at
           any [jobs]. *)
-  compile : bool;
-      (** Run every model execution through the staged evaluator
-          ({!Switchv_bmv2.Compile}: one-time closure compilation + indexed
-          table lookups) instead of the tree-walking interpreter (on by
-          default). Behaviour-identical by contract — incidents, clusters
-          and corpus are byte-identical either way (the [--no-compile]
-          escape hatch, cmp-gated by `make check-scale`). *)
   covered_edges : string list;
       (** Coverage edges ([cov.…] keys) the caller's earlier campaign
           already drove concretely; branch goals over them skip the SMT

@@ -6,6 +6,7 @@ module Request = Switchv_p4runtime.Request
 module Status = Switchv_p4runtime.Status
 module State = Switchv_p4runtime.State
 module Interp = Switchv_bmv2.Interp
+module Evaluator = Switchv_bmv2.Evaluator
 module Compile = Switchv_bmv2.Compile
 module Workload = Switchv_sai.Workload
 module Packet = Switchv_packet.Packet
@@ -35,16 +36,13 @@ type config = {
   packet_out : bool;
   faults : (int * Fault.t list) list;
   minimize : bool;
-  ddmin_probes : int;
-  compile : bool;
-      (* staged evaluator for every stack ASIC and model node; [false] is
-         the interpreted --no-compile reference path, byte-identical *)
+  evaluator : Evaluator.t;
 }
 
 let default_config shape switches =
   { shape; switches; spines = None; seed = 0; budget = None;
     max_incidents = 25; shards = 1; packet_out = true; faults = [];
-    minimize = false; ddmin_probes = 256; compile = true }
+    minimize = false; evaluator = Compile.evaluator }
 
 (* --- the flow suite --------------------------------------------------------
 
@@ -191,13 +189,6 @@ type env = {
   e_mk_stack : int -> unit -> Stack.t;
 }
 
-let pp_behavior_set fmt bs =
-  Format.fprintf fmt "{%a}"
-    (Format.pp_print_list
-       ~pp_sep:(fun fmt () -> Format.pp_print_string fmt "; ")
-       Interp.pp_behavior)
-    bs
-
 (* One flow, both fabrics, both checks. [add] enforces the incident
    budget; at most one incident per flow (a localized hop divergence
    preempts the end-to-end verdict — it is the same mismatch, better
@@ -218,9 +209,7 @@ let test_flow env ~tele
     | Po { in_switch; in_po } ->
         let bytes = Packet.to_bytes in_po.Request.po_payload in
         let model_b =
-          (if env.e_cfg.compile then Compile.run_packet_out
-           else Interp.run_packet_out)
-            env.e_model_cfgs.(in_switch)
+          Evaluator.run_packet_out env.e_cfg.evaluator env.e_model_cfgs.(in_switch)
             ~egress_port:in_po.Request.po_egress_port in_po.Request.po_payload
         in
         let switch_b = Stack.packet_out env.e_stacks.(in_switch) in_po in
@@ -307,7 +296,7 @@ let test_flow env ~tele
                  Telemetry.with_span tele "triage.minimize" (fun () ->
                      Harness.minimize_repro
                        (env.e_mk_stack h.Fabric.h_switch)
-                       ~max_probes:env.e_cfg.ddmin_probes r)
+                       ~max_probes:Harness.ddmin_probes r)
                else r)
           end
         in
@@ -317,7 +306,7 @@ let test_flow env ~tele
           (Format.asprintf
              "flow %s hop sw%d (ingress %d): switch behaved %a, model admits %a"
              fl.fl_id h.Fabric.h_switch h.Fabric.h_ingress Interp.pp_behavior
-             h.Fabric.h_behavior pp_behavior_set model_bs)
+             h.Fabric.h_behavior Interp.pp_behavior_set model_bs)
       end
   | None -> (
       let expectation = Endtoend.of_trace model_trace in
@@ -491,7 +480,7 @@ let run ?(jobs = 1) program cfg =
   in
   let mk_stack s () =
     Stack.create ~faults:(faults_for s) ~hash_seed:(0x5EED + cfg.seed + s)
-      ~compile:cfg.compile program
+      ~evaluator:cfg.evaluator program
   in
   (* Setup runs once in the parent; forked slice workers inherit the
      programmed stacks and model states copy-on-write. *)
@@ -527,7 +516,7 @@ let run ?(jobs = 1) program cfg =
       .Switchv_analysis.Analysis.f_taint
   in
   let oracles =
-    Array.map (fun c -> Dataplane.create ~compile:cfg.compile c ~taint)
+    Array.map (fun c -> Dataplane.create ~evaluator:cfg.evaluator c ~taint)
       model_cfgs
   in
   let env =
@@ -537,7 +526,7 @@ let run ?(jobs = 1) program cfg =
       e_stack_nodes = Array.init n (fun s -> Fabric.stack_node s stacks.(s));
       e_model_nodes =
         Array.init n (fun s ->
-            Fabric.model_node ~compile:cfg.compile s model_cfgs.(s));
+            Fabric.model_node ~evaluator:cfg.evaluator s model_cfgs.(s));
       e_model_cfgs = model_cfgs;
       e_oracles = oracles;
       e_entries_for = entries_for;

@@ -47,17 +47,19 @@ type config = {
   faults : (int * Fault.t list) list;
       (** per-switch seeded faults, keyed by switch index; absent switches
           run clean *)
-  minimize : bool;              (** ddmin localized reproducers in-slice *)
-  ddmin_probes : int;
-  compile : bool;
-      (** staged evaluator for every stack ASIC and model node (default
-          [true]); [false] is the interpreted [--no-compile] reference
-          path — incidents and clusters are byte-identical either way *)
+  minimize : bool;
+      (** ddmin localized reproducers in-slice, {!Harness.ddmin_probes}
+          probes each *)
+  evaluator : Switchv_bmv2.Evaluator.t;
+      (** runs every stack ASIC and model node: the campaign builds its
+          own stacks, so this is its one evaluator choice. With
+          {!Switchv_bmv2.Evaluator.interpreted} ([--no-compile]) incidents,
+          clusters and corpus are byte-identical to the staged default *)
 }
 
 val default_config : Topo.shape -> int -> config
 (** Seedless, unsharded, packet-out on, 25-incident budget, no
-    minimization. *)
+    minimization, {!Switchv_bmv2.Compile.evaluator}. *)
 
 val run :
   ?jobs:int -> Ast.program -> config ->

@@ -8,28 +8,19 @@ module Ddmin = Switchv_triage.Ddmin
 module Fingerprint = Switchv_triage.Fingerprint
 module Corpus = Switchv_triage.Corpus
 
-type triage = {
-  dedup : bool;
-  minimize : bool;
-  ddmin_probes : int;
-}
-
-let default_triage = { dedup = true; minimize = false; ddmin_probes = 256 }
+let ddmin_probes = 256
 
 type config = {
   control : Control_campaign.config;
   data_entries : Entry.t list;
   cache : Cache.t option;
-  exploratory : bool;
   fuzzed_data_pass : bool;
   max_incidents : int;
-  triage : triage option;
+  minimize : bool;
   jobs : int;
   data_shards : int;
   incremental : bool;
   taint : bool;
-  greybox : bool;
-  compile : bool;
 }
 
 (* Entries readable from a switch come back in insertion order of the
@@ -70,16 +61,13 @@ let default_config entries =
   { control = Control_campaign.default_config;
     data_entries = entries;
     cache = None;
-    exploratory = true;
     fuzzed_data_pass = false;
     max_incidents = 25;
-    triage = Some default_triage;
+    minimize = false;
     jobs = 1;
     data_shards = 1;
     incremental = true;
-    taint = true;
-    greybox = true;
-    compile = true }
+    taint = true }
 
 (* Shrink a reproducer to a 1-minimal input: each ddmin probe replays a
    candidate against a freshly provisioned stack. Sound because a clean
@@ -116,22 +104,17 @@ let minimize_repro mk_stack ~max_probes repro =
     ~n:(Repro.size repro - Repro.size minimized);
   minimized
 
-let run_triage mk_stack (cfg : triage) control data =
+let run_triage mk_stack ~minimize control data =
   let tele = Telemetry.get () in
-  Telemetry.incr ~n:0 tele "triage.duplicates_collapsed";
   Telemetry.incr ~n:0 tele "triage.updates_removed";
   let tagged =
     List.map (fun i -> (`Control, i)) control @ List.map (fun i -> (`Data, i)) data
   in
+  let groups = Fingerprint.cluster (fun (_, i) -> Report.fingerprint i) tagged in
+  Telemetry.incr tele "triage.duplicates_collapsed"
+    ~n:(List.length tagged - List.length groups);
   let groups =
-    if cfg.dedup then Fingerprint.cluster (fun (_, i) -> Report.fingerprint i) tagged
-    else List.map (fun x -> (x, Report.fingerprint (snd x), 1)) tagged
-  in
-  if cfg.dedup then
-    Telemetry.incr tele "triage.duplicates_collapsed"
-      ~n:(List.length tagged - List.length groups);
-  let groups =
-    if not cfg.minimize then groups
+    if not minimize then groups
     else
       List.map
         (fun ((tag, (i : Report.incident)), fp, count) ->
@@ -139,7 +122,7 @@ let run_triage mk_stack (cfg : triage) control data =
           | None -> ((tag, i), fp, count)
           | Some r ->
               Telemetry.with_span tele "triage.minimize" (fun () ->
-                  let r' = minimize_repro mk_stack ~max_probes:cfg.ddmin_probes r in
+                  let r' = minimize_repro mk_stack ~max_probes:ddmin_probes r in
                   ((tag, { i with Report.repro = Some r' }), fp, count)))
         groups
   in
@@ -149,13 +132,10 @@ let run_triage mk_stack (cfg : triage) control data =
       groups
   in
   let clusters =
-    if cfg.dedup then
-      Some
-        (List.map
-           (fun ((_, i), fp, count) ->
-             { Report.cl_fingerprint = fp; cl_count = count; cl_example = i })
-           groups)
-    else None
+    List.map
+      (fun ((_, i), fp, count) ->
+        { Report.cl_fingerprint = fp; cl_count = count; cl_example = i })
+      groups
   in
   (keep `Control, keep `Data, clusters)
 
@@ -173,16 +153,14 @@ let validate mk_stack config =
      so the delta — hence the data campaign's goal list — is the same at
      any [jobs]. *)
   let cov_keys =
-    if config.greybox then
+    if config.control.greybox then
       Switchv_obs.Coverage.edge_keys (Stack.program control_stack)
     else []
   in
   let cov_before = List.map (fun k -> Telemetry.counter tele k) cov_keys in
   let control_incidents, control_stats =
     Control_campaign.run_sharded ~jobs:config.jobs ~stack0:control_stack mk_stack
-      { config.control with
-        max_incidents = config.max_incidents;
-        greybox = config.greybox }
+      { config.control with max_incidents = config.max_incidents }
   in
   let covered_edges =
     List.filter_map
@@ -219,11 +197,9 @@ let validate mk_stack config =
       shards = config.data_shards;
       incremental = config.incremental;
       taint = config.taint;
-      greybox = config.greybox;
-      compile = config.compile;
+      greybox = config.control.greybox;
       covered_edges;
-      extra_goals =
-        (if config.exploratory then Data_campaign.exploratory_goals else fun _ -> []) }
+      extra_goals = Data_campaign.exploratory_goals }
   in
   let data_incidents, data_stats =
     Data_campaign.run ~jobs:config.jobs data_stack data_config
@@ -238,8 +214,7 @@ let validate mk_stack config =
           test_packet_io = false;
           incremental = config.incremental;
           taint = config.taint;
-          greybox = config.greybox;
-          compile = config.compile;
+          greybox = config.control.greybox;
           covered_edges }
       in
       let incidents, _ = Data_campaign.run stack cfg in
@@ -250,10 +225,8 @@ let validate mk_stack config =
     end
   in
   let control_incidents, data_incidents, clusters =
-    match config.triage with
-    | None -> (control_incidents, data_incidents @ fuzzed_incidents, None)
-    | Some t ->
-        run_triage mk_stack t control_incidents (data_incidents @ fuzzed_incidents)
+    run_triage mk_stack ~minimize:config.minimize control_incidents
+      (data_incidents @ fuzzed_incidents)
   in
   { Report.program_name = (Stack.program data_stack).p_name;
     control_incidents;
@@ -262,9 +235,24 @@ let validate mk_stack config =
     control_stats = Some control_stats;
     data_stats = Some data_stats;
     fabric_stats = None;
-    clusters;
+    clusters = Some clusters;
     telemetry = Some (Telemetry.snapshot tele);
     coverage =
       Some (Switchv_obs.Coverage.of_registry tele (Stack.program data_stack)) }
 
 let detect mk_stack config = Report.detected_by (validate mk_stack config)
+
+let corpus_records (report : Report.t) faults =
+  let fault_ids = List.map (fun (f : Fault.t) -> f.id) faults in
+  List.filter_map
+    (fun (i : Report.incident) ->
+      Option.map
+        (fun repro ->
+          { Corpus.c_program = report.program_name;
+            c_detector = Report.detector_to_string i.detector;
+            c_kind = i.kind;
+            c_fingerprint = Report.fingerprint i;
+            c_faults = fault_ids;
+            c_repro = repro })
+        i.repro)
+    (Report.incidents report)

@@ -10,36 +10,35 @@ module Fault = Switchv_switch.Fault
 module Entry = Switchv_p4runtime.Entry
 module Cache = Switchv_symbolic.Cache
 
-type triage = {
-  dedup : bool;
-      (** Collapse incidents with identical fingerprints into clusters;
-          the report keeps one representative per cluster plus a
-          {!Report.cluster} summary. *)
-  minimize : bool;
-      (** Delta-debug each kept reproducer down to a 1-minimal input.
-          Expensive — every ddmin probe provisions a fresh stack via
-          [mk_stack] and replays — so off by default; the triage bench and
-          [switchv replay] turn it on deliberately. *)
-  ddmin_probes : int;  (** probe budget per ddmin invocation *)
-}
+val ddmin_probes : int
+(** Probe budget per ddmin invocation (256), shared by the harness and
+    fabric triage passes. *)
 
-val default_triage : triage
-(** [dedup = true; minimize = false; ddmin_probes = 256]. *)
-
+(** Every run adds {!Data_campaign.exploratory_goals} to the data
+    campaign's goals, and triage always collapses incidents with identical
+    fingerprints into clusters: the report keeps one representative per
+    cluster plus a {!Report.cluster} summary. *)
 type config = {
   control : Control_campaign.config;
+      (** Its [greybox] flag drives coverage-guided feedback across both
+          campaigns (on by default): the control fuzzer runs its
+          probe/corpus/power-schedule loop, and the data campaigns observe
+          per-packet deltas and skip branch goals the control phase
+          already covered concretely ([covered_edges] computed here from
+          the registry delta, jobs-invariant). [false] reproduces the
+          blind pre-feedback pipeline byte-identically. *)
   data_entries : Entry.t list;
   cache : Cache.t option;
-  exploratory : bool;   (** include the canned exploratory coverage goals *)
   fuzzed_data_pass : bool;
       (** §7's proposed extension: after the control-plane campaign, replay
           the (valid) entries the fuzzer left installed into a fresh switch
           and run a second data-plane pass over them — fuzzed entries
           exercise control paths the production replay does not. *)
   max_incidents : int;
-  triage : triage option;
-      (** Post-campaign triage pass ({!default_triage} by default);
-          [None] reports raw miscompares untriaged. *)
+  minimize : bool;
+      (** Delta-debug each kept reproducer down to a 1-minimal input.
+          Expensive — every ddmin probe provisions a fresh stack via
+          [mk_stack] and replays — so off by default. *)
   jobs : int;
       (** Worker processes for sharded campaign execution (default 1 =
           fully sequential, no forking). The shard decompositions are
@@ -57,19 +56,6 @@ type config = {
       (** Taint-aware goal classification and set-valued data-plane
           verdicts (on by default; see {!Data_campaign.config}[.taint]).
           Applies to the main and the fuzzed-entry data passes. *)
-  greybox : bool;
-      (** Coverage-guided feedback across both campaigns (on by default):
-          the control fuzzer runs its probe/corpus/power-schedule loop
-          (overrides [control.greybox]), and the data campaigns observe
-          per-packet deltas and skip branch goals the control phase
-          already covered concretely ([covered_edges] computed here from
-          the registry delta, jobs-invariant). [false] reproduces the
-          blind pre-feedback pipeline byte-identically. *)
-  compile : bool;
-      (** Staged-evaluator model execution in the data campaigns (on by
-          default; see {!Data_campaign.config}[.compile]). The caller's
-          stacks carry their own flag ({!Switchv_switch.Stack.create}).
-          [false] — the [--no-compile] escape hatch — is byte-identical. *)
 }
 
 val default_config : Entry.t list -> config
@@ -86,7 +72,14 @@ val minimize_repro :
 
 val validate : (unit -> Stack.t) -> config -> Report.t
 (** [validate mk_stack config]: runs both campaigns; [mk_stack] must build
-    a fresh switch (same faults, clean state) for each campaign. *)
+    a fresh switch (same faults, same evaluator, clean state) for each
+    campaign. The data campaigns run their reference model with the
+    evaluator of the stacks [mk_stack] builds ({!Stack.evaluator}). *)
 
 val detect : (unit -> Stack.t) -> config -> Report.detector option
 (** Convenience: which SwitchV component (if any) finds an incident. *)
+
+val corpus_records : Report.t -> Fault.t list -> Switchv_triage.Corpus.record list
+(** One regression-corpus record per reported incident that carries a
+    reproducer, tagged with the report's model and the seeded [faults]
+    ids (for {!Switchv_triage.Corpus.save}). *)

@@ -6,6 +6,7 @@ module State = Switchv_p4runtime.State
 module Fuzzer = Switchv_fuzzer.Fuzzer
 module Oracle = Switchv_oracle.Oracle
 module Interp = Switchv_bmv2.Interp
+module Evaluator = Switchv_bmv2.Evaluator
 module Symexec = Switchv_symbolic.Symexec
 module Packetgen = Switchv_symbolic.Packetgen
 module Workload = Switchv_sai.Workload
@@ -103,7 +104,10 @@ let collect ?(batches = 10) ?(seed = 3) mk_stack entries =
           | Some bytes ->
               let behaved =
                 let switch_b = Stack.inject stack ~ingress_port:tp.tp_port bytes in
-                match Interp.enumerate_behaviors model_cfg ~ingress_port:tp.tp_port bytes with
+                match
+                  Evaluator.enumerate_behaviors Evaluator.interpreted model_cfg
+                    ~ingress_port:tp.tp_port bytes
+                with
                 | model_bs -> List.exists (Interp.behavior_equal switch_b) model_bs
                 | exception Interp.Parse_failure _ -> false
               in

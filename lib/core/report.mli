@@ -110,10 +110,10 @@ type t = {
   data_stats : data_stats option;
   fabric_stats : fabric_stats option;
   clusters : cluster list option;
-      (** Fingerprint-dedup summary, present when the harness ran with
-          triage dedup: one cluster per distinct fingerprint, counting the
-          raw miscompares it absorbed. When present, the incident lists
-          hold one representative per cluster. *)
+      (** Fingerprint-dedup summary, present on every harness and fabric
+          report: one cluster per distinct fingerprint, counting the raw
+          miscompares it absorbed. When present, the incident lists hold
+          one representative per cluster. *)
   telemetry : Telemetry.snapshot option;
       (** Counters and latency quantiles accumulated over the run, captured
           by {!Harness.validate} when it finishes. *)

@@ -4,6 +4,7 @@ module Header = Switchv_packet.Header
 module Entry = Switchv_p4runtime.Entry
 module State = Switchv_p4runtime.State
 module Interp = Switchv_bmv2.Interp
+module Evaluator = Switchv_bmv2.Evaluator
 module Compile = Switchv_bmv2.Compile
 module Taint = Switchv_analysis.Taint
 module Telemetry = Switchv_telemetry.Telemetry
@@ -11,7 +12,7 @@ module SSet = Set.Make (String)
 
 type t = {
   dp_cfg : Interp.config;
-  dp_compile : bool;
+  dp_evaluator : Evaluator.t;
   dp_taint : Taint.summary;
   dp_rounds : int;
   dp_candidates : int list;
@@ -86,10 +87,10 @@ let candidates (cfg : Interp.config) (taint : Taint.summary) =
     taint.Taint.s_egress_writers;
   List.sort_uniq compare !ports
 
-let create ?(compile = true) (cfg : Interp.config) ~taint =
+let create ?(evaluator = Compile.evaluator) (cfg : Interp.config) ~taint =
   let cfg = { cfg with Interp.hash_mode = Interp.Fixed 0 } in
   { dp_cfg = cfg;
-    dp_compile = compile;
+    dp_evaluator = evaluator;
     dp_taint = taint;
     dp_rounds = Interp.hash_rounds cfg;
     dp_candidates = candidates cfg taint;
@@ -156,10 +157,7 @@ let set_admits t (info : Interp.run_info) (switch : Interp.behavior) =
 
 let judge_info t ~ingress_port ~bytes ~switch =
   let tele = Telemetry.get () in
-  let info =
-    (if t.dp_compile then Compile.run_info else Interp.run_info)
-      t.dp_cfg ~ingress_port bytes
-  in
+  let info = Evaluator.run_info t.dp_evaluator t.dp_cfg ~ingress_port bytes in
   let verdict =
     if Interp.behavior_equal switch info.Interp.ri_behavior then begin
       Telemetry.incr tele "oracle.dataplane_fast";
@@ -182,11 +180,7 @@ let judge_info t ~ingress_port ~bytes ~switch =
          verdict, so a fast-path refusal can never create a new false
          positive — only spend the rounds the fast path tried to save. *)
       Telemetry.incr tele "oracle.dataplane_escalations";
-      let bs =
-        (if t.dp_compile then Compile.enumerate_behaviors
-         else Interp.enumerate_behaviors)
-          t.dp_cfg ~ingress_port bytes
-      in
+      let bs = Evaluator.enumerate_behaviors t.dp_evaluator t.dp_cfg ~ingress_port bytes in
       if List.exists (Interp.behavior_equal switch) bs then Admitted
       else Diverged bs
     end

@@ -30,15 +30,19 @@
     [oracle.dataplane_escalations], [oracle.enum_rounds_saved]. *)
 
 module Interp = Switchv_bmv2.Interp
+module Evaluator = Switchv_bmv2.Evaluator
 module Taint = Switchv_analysis.Taint
 
 type t
 
-val create : ?compile:bool -> Interp.config -> taint:Taint.summary -> t
+val create :
+  ?evaluator:Evaluator.t -> Interp.config -> taint:Taint.summary -> t
 (** [create cfg ~taint] precomputes the candidate egress-port set and the
     output byte mask. The config's hash mode is forced to [Fixed 0] (the
     reference round); pass {!Taint.empty} to disable set-valued verdicts
-    (pure enumeration semantics). *)
+    (pure enumeration semantics). Every model run goes through
+    [evaluator] (default {!Switchv_bmv2.Compile.evaluator}); campaigns
+    pass their stack's. *)
 
 val candidate_ports : t -> int list
 (** The statically-computed egress candidate set, sorted: every port an

@@ -363,3 +363,14 @@ let topo _program _entries =
 
 let expected_detector (f : Fault.t) =
   if Fault.is_control_plane f.kind then `Fuzzer else `Symbolic
+
+let resolve program entries ids =
+  let catalogue = pins program entries @ cerberus program entries @ topo program entries in
+  List.fold_left
+    (fun acc id ->
+      Result.bind acc (fun found ->
+          match List.find_opt (fun (f : Fault.t) -> String.equal f.id id) catalogue with
+          | Some f -> Ok (f :: found)
+          | None -> Error (Printf.sprintf "no catalogue fault %S for this model" id)))
+    (Ok []) ids
+  |> Result.map List.rev

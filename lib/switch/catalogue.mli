@@ -28,3 +28,9 @@ val topo : Ast.program -> Entry.t list -> Fault.t list
 val expected_detector : Fault.t -> [ `Fuzzer | `Symbolic ]
 (** Which SwitchV component the catalogue expects to find this fault
     (control-plane kinds → fuzzer, data-plane/sync kinds → symbolic). *)
+
+val resolve :
+  Ast.program -> Entry.t list -> string list -> (Fault.t list, string) result
+(** Look each id up in the PINS, Cerberus and topology catalogues for
+    this program and entry set, in order. The first unknown id is an
+    [Error] that names it. *)

@@ -7,6 +7,7 @@ module Status = Switchv_p4runtime.Status
 module State = Switchv_p4runtime.State
 module Validate = Switchv_p4runtime.Validate
 module Interp = Switchv_bmv2.Interp
+module Evaluator = Switchv_bmv2.Evaluator
 module Compile = Switchv_bmv2.Compile
 module Workload = Switchv_sai.Workload
 module Telemetry = Switchv_telemetry.Telemetry
@@ -19,7 +20,7 @@ type t = {
   server : State.t;
   asic : State.t;
   hash_seed : int;
-  compile : bool;                   (* staged evaluator for the ASIC data plane *)
+  evaluator : Evaluator.t;          (* runs the ASIC data plane *)
   mutable p4info_ok : bool;
   mutable is_crashed : bool;
 }
@@ -74,7 +75,8 @@ let perturb_program faults program =
       | _ -> p)
     program faults
 
-let create ?(faults = []) ?(hash_seed = 0x5EED) ?(compile = true) program =
+let create ?(faults = []) ?(hash_seed = 0x5EED) ?(evaluator = Compile.evaluator)
+    program =
   { s_program = program;
     asic_program = perturb_program faults program;
     s_info = P4info.of_program program;
@@ -82,12 +84,13 @@ let create ?(faults = []) ?(hash_seed = 0x5EED) ?(compile = true) program =
     server = State.create ();
     asic = State.create ();
     hash_seed;
-    compile;
+    evaluator;
     p4info_ok = false;
     is_crashed = false }
 
 let faults t = t.s_faults
 let program t = t.s_program
+let evaluator t = t.evaluator
 let info t = t.s_info
 let server_state t = t.server
 let asic_state t = t.asic
@@ -541,8 +544,7 @@ let inject t ~ingress_port bytes =
   if t.is_crashed then crashed_behavior bytes
   else
     match
-      (if t.compile then Compile.run else Interp.run)
-        (interp_config t) ~ingress_port bytes
+      Evaluator.run t.evaluator (interp_config t) ~ingress_port bytes
     with
     | b -> perturb_behavior t ~ingress_port bytes b
     | exception Interp.Parse_failure _ -> drop_behavior bytes
@@ -561,8 +563,8 @@ let packet_out t (po : Request.packet_out) =
   match po.po_egress_port with
   | Some _ ->
       let b =
-        (if t.compile then Compile.run_packet_out else Interp.run_packet_out)
-          (interp_config t) ~egress_port:po.po_egress_port po.po_payload
+        Evaluator.run_packet_out t.evaluator (interp_config t)
+          ~egress_port:po.po_egress_port po.po_payload
       in
       if punt_back then begin
         fire t (function Fault.Packet_out_punted_back -> true | _ -> false);
@@ -576,8 +578,8 @@ let packet_out t (po : Request.packet_out) =
       end
       else begin
         let b =
-          (if t.compile then Compile.run_packet_out else Interp.run_packet_out)
-            (interp_config t) ~egress_port:None po.po_payload
+          Evaluator.run_packet_out t.evaluator (interp_config t)
+            ~egress_port:None po.po_payload
         in
         let bytes = Switchv_packet.Packet.to_bytes po.po_payload in
         perturb_behavior t ~ingress_port:0 bytes b

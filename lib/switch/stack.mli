@@ -20,19 +20,27 @@ module Request = Switchv_p4runtime.Request
 module Status = Switchv_p4runtime.Status
 module State = Switchv_p4runtime.State
 module Interp = Switchv_bmv2.Interp
+module Evaluator = Switchv_bmv2.Evaluator
 
 type t
 
 val create :
-  ?faults:Fault.t list -> ?hash_seed:int -> ?compile:bool -> Ast.program -> t
-(** [compile] (default [true]) selects the staged evaluator
-    ({!Switchv_bmv2.Compile}) for the ASIC data plane; [false] falls back
-    to the reference interpreter — behaviour is identical either way (the
-    [--no-compile] escape hatch, cmp-gated by `make check-scale`). *)
+  ?faults:Fault.t list -> ?hash_seed:int -> ?evaluator:Evaluator.t ->
+  Ast.program -> t
+(** [evaluator] (default {!Switchv_bmv2.Compile.evaluator}) runs the ASIC
+    data plane. It is the one place a campaign's evaluator is chosen: the
+    data campaign runs its reference model with {!evaluator} of the stack
+    it tests. Corpus replay and the OKR metrics always model with the
+    interpreter, so they also check the staged evaluator. Behaviour is identical
+    with {!Evaluator.interpreted} (the [--no-compile] escape hatch,
+    cmp-gated by `make check-scale`). *)
 
 val faults : t -> Fault.t list
 val program : t -> Ast.program
 val info : t -> P4info.t
+
+val evaluator : t -> Evaluator.t
+(** The evaluator the stack was created with. *)
 
 val push_p4info : t -> Status.t
 (** The "Set P4Info" step; must succeed before writes are accepted. *)

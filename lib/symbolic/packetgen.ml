@@ -214,7 +214,9 @@ let packet_of_model (enc : Symexec.encoding) (m : Solver.model) =
   let packet = { Packet.headers; payload = "" } in
   Packet.to_bytes packet
 
-let port_of_model (m : Solver.model) ports =
+let ports = [ 1; 2; 3; 4 ]
+
+let port_of_model (m : Solver.model) =
   match m.Solver.bv Symexec.ingress_port_var with
   | Some v -> (
       match Bitvec.to_int v with
@@ -239,7 +241,7 @@ let deserialize payload : test_packet list =
     (fun (g, k, p, b) -> { tp_goal = g; tp_kind = k; tp_port = p; tp_bytes = b })
     tuples
 
-let cache_key (enc : Symexec.encoding) goals ~ports ~index_offset =
+let cache_key (enc : Symexec.encoding) goals ~index_offset =
   let buf = Buffer.create 4096 in
   (* Version tag: bump whenever the serialised payload layout changes, so
      stale on-disk payloads from older binaries can never be deserialised
@@ -287,7 +289,7 @@ let canonical_vars (enc : Symexec.encoding) =
       | `Bv (name, _) -> Solver.C_bv name)
     (Symexec.model_input_vars enc.enc_program)
 
-let assert_base solver (enc : Symexec.encoding) ports =
+let assert_base solver (enc : Symexec.encoding) =
   Solver.assert_formula solver enc.enc_wellformed;
   let port_constraint =
     Term.disj
@@ -380,13 +382,13 @@ let sum_stats acc stats =
       | None -> acc @ [ (name, v) ])
     acc stats
 
-let generate ?(ports = [ 1; 2; 3; 4 ]) ?(index_offset = 0) ?cache ?(incremental = true)
+let generate ?(index_offset = 0) ?cache ?(incremental = true)
     (enc : Symexec.encoding) goals =
   let tele = Telemetry.get () in
   Telemetry.with_span tele "symbolic.generate"
     ~attrs:[ ("goals", string_of_int (List.length goals)) ]
   @@ fun () ->
-  let key = cache_key enc goals ~ports ~index_offset in
+  let key = cache_key enc goals ~index_offset in
   let cached =
     match cache with
     | None -> None
@@ -426,7 +428,7 @@ let generate ?(ports = [ 1; 2; 3; 4 ]) ?(index_offset = 0) ?cache ?(incremental 
             Telemetry.incr tele "symbolic.goals_covered";
             { tp_goal = goal.goal_id;
               tp_kind = goal.goal_kind;
-              tp_port = port_of_model m ports;
+              tp_port = port_of_model m;
               tp_bytes = Some (packet_of_model enc m) }
         | None ->
             Telemetry.incr tele "symbolic.goals_uncoverable";
@@ -459,7 +461,7 @@ let generate ?(ports = [ 1; 2; 3; 4 ]) ?(index_offset = 0) ?cache ?(incremental 
              base encoding bounds the accumulation; canonical witness
              extraction makes the reset points invisible in the results. *)
           let solver = ref (Solver.create ()) in
-          assert_base !solver enc ports;
+          assert_base !solver enc;
           let sat_vars s =
             Option.value ~default:0 (List.assoc_opt "sat_vars" (Solver.stats s))
           in
@@ -470,7 +472,7 @@ let generate ?(ports = [ 1; 2; 3; 4 ]) ?(index_offset = 0) ?cache ?(incremental 
               Telemetry.incr tele "smt.solver_reseeds";
               retired := sum_stats !retired (Solver.stats !solver);
               solver := Solver.create ();
-              assert_base !solver enc ports
+              assert_base !solver enc
             end
           in
           let items =
@@ -513,7 +515,7 @@ let generate ?(ports = [ 1; 2; 3; 4 ]) ?(index_offset = 0) ?cache ?(incremental 
             List.mapi
               (fun i goal ->
                 let solver = Solver.create () in
-                assert_base solver enc ports;
+                assert_base solver enc;
                 let packet =
                   solve_member solver goal ~cond_conjuncts:[ goal.goal_cond ]
                     ~pport:(preferred_port i)

@@ -108,15 +108,18 @@ type result = {
   from_cache : bool;
 }
 
+val ports : int list
+(** The ingress ports a generated packet may arrive on: [[1; 2; 3; 4]].
+    Part of every {!cache_key}. *)
+
 val generate :
-  ?ports:int list ->
   ?index_offset:int ->
   ?cache:Cache.t ->
   ?incremental:bool ->
   Symexec.encoding ->
   goal list ->
   result
-(** [ports] restricts the free ingress port (default [[1; 2; 3; 4]]).
+(** The free ingress port ranges over {!ports}.
 
     [index_offset] (default 0) is the position of [goals] within a larger
     campaign-wide goal list: the preferred-port soft constraint cycles by
@@ -137,5 +140,4 @@ val generate :
     they return identical packets and identical verdicts — [incremental]
     is deliberately absent from the cache key. *)
 
-val cache_key :
-  Symexec.encoding -> goal list -> ports:int list -> index_offset:int -> string
+val cache_key : Symexec.encoding -> goal list -> index_offset:int -> string

@@ -1,6 +1,7 @@
 module Stack = Switchv_switch.Stack
 module Oracle = Switchv_oracle.Oracle
 module Interp = Switchv_bmv2.Interp
+module Evaluator = Switchv_bmv2.Evaluator
 module Entry = Switchv_p4runtime.Entry
 module Request = Switchv_p4runtime.Request
 module Status = Switchv_p4runtime.Status
@@ -139,13 +140,6 @@ let replay_control stack (c : Repro.control) note =
     send c.cr_batch
   end
 
-let pp_behavior_set fmt bs =
-  Format.fprintf fmt "{%a}"
-    (Format.pp_print_list
-       ~pp_sep:(fun fmt () -> Format.pp_print_string fmt "; ")
-       Interp.pp_behavior)
-    bs
-
 let replay_data stack (d : Repro.data) note =
   let s = Stack.push_p4info stack in
   if not (Status.is_ok s) then
@@ -193,7 +187,8 @@ let replay_data stack (d : Repro.data) note =
     in
     let switch_b = Stack.inject stack ~ingress_port:d.dr_port d.dr_bytes in
     match
-      Interp.enumerate_behaviors model_cfg ~ingress_port:d.dr_port d.dr_bytes
+      Evaluator.enumerate_behaviors Evaluator.interpreted model_cfg
+        ~ingress_port:d.dr_port d.dr_bytes
     with
     | exception Interp.Parse_failure msg ->
         note (Printf.sprintf "model parse failure: %s" msg)
@@ -202,7 +197,7 @@ let replay_data stack (d : Repro.data) note =
           note
             (Format.asprintf
                "behavior divergence (port %d): switch behaved %a, model admits %a"
-               d.dr_port Interp.pp_behavior switch_b pp_behavior_set model_bs)
+               d.dr_port Interp.pp_behavior switch_b Interp.pp_behavior_set model_bs)
   end
 
 let replay_repro stack repro =

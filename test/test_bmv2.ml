@@ -10,6 +10,7 @@ module Packet = Switchv_packet.Packet
 module Entry = Switchv_p4runtime.Entry
 module State = Switchv_p4runtime.State
 module Interp = Switchv_bmv2.Interp
+module Evaluator = Switchv_bmv2.Evaluator
 module Compile = Switchv_bmv2.Compile
 module Stack = Switchv_switch.Stack
 module P4parser = Switchv_p4ir.P4parser
@@ -69,33 +70,33 @@ let packet ?(dst_mac = "02:00:00:00:aa:01") ?(ttl = 64) ~dst () =
 (* --- forwarding --------------------------------------------------------------- *)
 
 let test_forward () =
-  let b = Interp.run_packet (cfg ()) ~ingress_port:1 (packet ~dst:"10.1.2.3" ()) in
+  let b = Evaluator.run_packet Evaluator.interpreted (cfg ()) ~ingress_port:1 (packet ~dst:"10.1.2.3" ()) in
   check_bool "forwarded to rif port" true (b.b_egress = Some 7);
   check_bool "not punted" false b.b_punted
 
 let test_route_miss_drops () =
-  let b = Interp.run_packet (cfg ()) ~ingress_port:1 (packet ~dst:"99.1.2.3" ()) in
+  let b = Evaluator.run_packet Evaluator.interpreted (cfg ()) ~ingress_port:1 (packet ~dst:"99.1.2.3" ()) in
   check_bool "default action drops" true (b.b_egress = None)
 
 let test_not_admitted_drops () =
   let b =
-    Interp.run_packet (cfg ()) ~ingress_port:1
+    Evaluator.run_packet Evaluator.interpreted (cfg ()) ~ingress_port:1
       (packet ~dst_mac:"02:00:00:00:00:99" ~dst:"10.1.2.3" ())
   in
   check_bool "non-admitted packet is not routed" true (b.b_egress = None)
 
 let test_ttl_decrement () =
-  let b = Interp.run_packet (cfg ()) ~ingress_port:1 (packet ~ttl:64 ~dst:"10.1.2.3" ()) in
+  let b = Evaluator.run_packet Evaluator.interpreted (cfg ()) ~ingress_port:1 (packet ~ttl:64 ~dst:"10.1.2.3" ()) in
   (* TTL is at offset 14+8 of the output bytes. *)
   check_int "ttl decremented" 63 (Char.code b.b_packet.[22])
 
 let test_ttl_expiry_punts () =
-  let b = Interp.run_packet (cfg ()) ~ingress_port:1 (packet ~ttl:1 ~dst:"10.1.2.3" ()) in
+  let b = Evaluator.run_packet Evaluator.interpreted (cfg ()) ~ingress_port:1 (packet ~ttl:1 ~dst:"10.1.2.3" ()) in
   check_bool "dropped" true (b.b_egress = None);
   check_bool "punted to controller" true b.b_punted
 
 let test_dst_mac_rewrite () =
-  let b = Interp.run_packet (cfg ()) ~ingress_port:1 (packet ~dst:"10.1.2.3" ()) in
+  let b = Evaluator.run_packet Evaluator.interpreted (cfg ()) ~ingress_port:1 (packet ~dst:"10.1.2.3" ()) in
   (* Neighbor entry rewrites the destination MAC. *)
   check_int "dst mac rewritten" 0xcc (Char.code b.b_packet.[4]);
   (* RIF entry rewrites the source MAC. *)
@@ -130,9 +131,9 @@ let test_lpm_longest_wins () =
               fm "ipv4_dst" (Entry.M_lpm (Prefix.of_ipv4_string "10.1.2.0/24")) ]
           (single "set_nexthop_id" [ bv16 2 ])));
   let c = cfg ~state () in
-  let inside = Interp.run_packet c ~ingress_port:1 (packet ~dst:"10.1.2.3" ()) in
+  let inside = Evaluator.run_packet Evaluator.interpreted c ~ingress_port:1 (packet ~dst:"10.1.2.3" ()) in
   check_bool "/24 wins inside" true (inside.b_egress = Some 9);
-  let outside = Interp.run_packet c ~ingress_port:1 (packet ~dst:"10.1.9.9" ()) in
+  let outside = Evaluator.run_packet Evaluator.interpreted c ~ingress_port:1 (packet ~dst:"10.1.9.9" ()) in
   check_bool "/16 used outside" true (outside.b_egress = Some 7)
 
 (* --- ternary priority ------------------------------------------------------------ *)
@@ -148,7 +149,7 @@ let test_acl_priority () =
   in
   ignore (State.insert state (acl 1 "no_action" "10.1.2.3"));
   ignore (State.insert state (acl 10 "drop" "10.1.2.3"));
-  let b = Interp.run_packet (cfg ~state ()) ~ingress_port:1 (packet ~dst:"10.1.2.3" ()) in
+  let b = Evaluator.run_packet Evaluator.interpreted (cfg ~state ()) ~ingress_port:1 (packet ~dst:"10.1.2.3" ()) in
   check_bool "higher priority drop wins" true (b.b_egress = None)
 
 (* --- punt and mirror --------------------------------------------------------------- *)
@@ -161,7 +162,7 @@ let test_acl_trap_and_copy () =
           ~matches:
             [ fm "dst_ip" (Entry.M_ternary (Ternary.exact (Packet.ipv4_of_string "10.1.2.3"))) ]
           (single "acl_trap" [])));
-  let b = Interp.run_packet (cfg ~state ()) ~ingress_port:1 (packet ~dst:"10.1.2.3" ()) in
+  let b = Evaluator.run_packet Evaluator.interpreted (cfg ~state ()) ~ingress_port:1 (packet ~dst:"10.1.2.3" ()) in
   check_bool "trap punts" true b.b_punted;
   check_bool "trap drops" true (b.b_egress = None);
   let state2 = provisioned () in
@@ -171,7 +172,7 @@ let test_acl_trap_and_copy () =
           ~matches:
             [ fm "dst_ip" (Entry.M_ternary (Ternary.exact (Packet.ipv4_of_string "10.1.2.3"))) ]
           (single "acl_copy" [])));
-  let b2 = Interp.run_packet (cfg ~state:state2 ()) ~ingress_port:1 (packet ~dst:"10.1.2.3" ()) in
+  let b2 = Evaluator.run_packet Evaluator.interpreted (cfg ~state:state2 ()) ~ingress_port:1 (packet ~dst:"10.1.2.3" ()) in
   check_bool "copy punts" true b2.b_punted;
   check_bool "copy still forwards" true (b2.b_egress = Some 7)
 
@@ -184,13 +185,13 @@ let test_mirror () =
             [ fm "dst_ip" (Entry.M_ternary (Ternary.exact (Packet.ipv4_of_string "10.1.2.3"))) ]
           (single "acl_mirror" [ bv16 3 ])));
   let b =
-    Interp.run_packet (cfg ~state ~mirror_map:[ (3, 12) ] ()) ~ingress_port:1
+    Evaluator.run_packet Evaluator.interpreted (cfg ~state ~mirror_map:[ (3, 12) ] ()) ~ingress_port:1
       (packet ~dst:"10.1.2.3" ())
   in
   check_int "one mirror copy" 1 (List.length b.b_mirrors);
   check_bool "mirrored to mapped port" true (List.mem_assoc 12 b.b_mirrors);
   (* Without a session mapping the mirror is silently dropped. *)
-  let b2 = Interp.run_packet (cfg ~state ()) ~ingress_port:1 (packet ~dst:"10.1.2.3" ()) in
+  let b2 = Evaluator.run_packet Evaluator.interpreted (cfg ~state ()) ~ingress_port:1 (packet ~dst:"10.1.2.3" ()) in
   check_int "no mirror without session" 0 (List.length b2.b_mirrors)
 
 (* --- WCMP ---------------------------------------------------------------------------- *)
@@ -232,22 +233,22 @@ let wcmp_state () =
 let test_wcmp_behavior_set () =
   let c = cfg ~state:(wcmp_state ()) () in
   let bytes = Packet.to_bytes (packet ~dst:"20.1.2.3" ()) in
-  let behaviors = Interp.enumerate_behaviors c ~ingress_port:1 bytes in
+  let behaviors = Evaluator.enumerate_behaviors Evaluator.interpreted c ~ingress_port:1 bytes in
   (* Both members (ports 7 and 9) must appear, even behind weight-3 buckets. *)
   let ports = List.filter_map (fun (b : Interp.behavior) -> b.b_egress) behaviors in
   check_bool "member 1 covered" true (List.mem 7 ports);
   check_bool "member 2 covered" true (List.mem 9 ports);
   check_int "exactly two behaviours" 2 (List.length behaviors);
   (* Any concrete-hash run lies inside the enumerated set. *)
-  let concrete = Interp.run c ~ingress_port:1 bytes in
+  let concrete = Evaluator.run Evaluator.interpreted c ~ingress_port:1 bytes in
   check_bool "seeded run within the set" true
     (List.exists (Interp.behavior_equal concrete) behaviors)
 
 let test_wcmp_deterministic_per_flow () =
   let c = cfg ~state:(wcmp_state ()) () in
   let bytes = Packet.to_bytes (packet ~dst:"20.1.2.3" ()) in
-  let b1 = Interp.run c ~ingress_port:1 bytes in
-  let b2 = Interp.run c ~ingress_port:1 bytes in
+  let b1 = Evaluator.run Evaluator.interpreted c ~ingress_port:1 bytes in
+  let b2 = Evaluator.run Evaluator.interpreted c ~ingress_port:1 bytes in
   check_bool "same flow, same member" true (Interp.behavior_equal b1 b2)
 
 (* --- GRE tunnels (Cerberus/WAN paths) ----------------------------------------------- *)
@@ -302,11 +303,11 @@ let cerberus_cfg () =
     hash_mode = Interp.Seeded 5; mirror_map = [] }
 
 let test_gre_encap () =
-  let b = Interp.run_packet (cerberus_cfg ()) ~ingress_port:1 (packet ~dst:"10.2.9.9" ()) in
+  let b = Evaluator.run_packet Evaluator.interpreted (cerberus_cfg ()) ~ingress_port:1 (packet ~dst:"10.2.9.9" ()) in
   check_bool "tunnel route forwards" true (b.b_egress = Some 7);
   (* Output carries a GRE header (4 bytes) and the rewritten outer dst. *)
   let plain =
-    Interp.run_packet (cerberus_cfg ()) ~ingress_port:1 (packet ~dst:"10.3.9.9" ())
+    Evaluator.run_packet Evaluator.interpreted (cerberus_cfg ()) ~ingress_port:1 (packet ~dst:"10.3.9.9" ())
   in
   check_int "encap output is 4 bytes longer" 4
     (String.length b.b_packet - String.length plain.b_packet);
@@ -326,7 +327,7 @@ let test_gre_decap () =
               ("protocol", Bitvec.of_int ~width:16 0x0800) ] ];
       payload = "" }
   in
-  let b = Interp.run_packet (cerberus_cfg ()) ~ingress_port:1 inner in
+  let b = Evaluator.run_packet Evaluator.interpreted (cerberus_cfg ()) ~ingress_port:1 inner in
   check_bool "decapped packet forwards" true (b.b_egress = Some 7);
   (* 14 (eth) + 20 (ipv4): GRE gone. *)
   check_int "GRE stripped" 34 (String.length b.b_packet);
@@ -334,7 +335,7 @@ let test_gre_decap () =
   let kept =
     Packet.set inner ~header:"ipv4" ~field:"dst_addr" (Packet.ipv4_of_string "10.2.1.1")
   in
-  let b2 = Interp.run_packet (cerberus_cfg ()) ~ingress_port:1 kept in
+  let b2 = Evaluator.run_packet Evaluator.interpreted (cerberus_cfg ()) ~ingress_port:1 kept in
   check_bool "non-decap GRE keeps header (and gets tunnel-encapped again)" true
     (String.length b2.b_packet > 34)
 
@@ -342,13 +343,13 @@ let test_gre_decap () =
 
 let test_packet_out_direct () =
   let b =
-    Interp.run_packet_out (cfg ()) ~egress_port:(Some 4) (packet ~dst:"10.1.2.3" ())
+    Evaluator.run_packet_out Evaluator.interpreted (cfg ()) ~egress_port:(Some 4) (packet ~dst:"10.1.2.3" ())
   in
   check_bool "emitted directly" true (b.b_egress = Some 4);
   check_bool "no pipeline trace" true (b.b_trace = [ ("<packet-out>", "direct") ])
 
 let test_packet_out_submit_to_ingress () =
-  let b = Interp.run_packet_out (cfg ()) ~egress_port:None (packet ~dst:"10.1.2.3" ()) in
+  let b = Evaluator.run_packet_out Evaluator.interpreted (cfg ()) ~egress_port:None (packet ~dst:"10.1.2.3" ()) in
   check_bool "routed through the pipeline" true (b.b_egress = Some 7)
 
 (* --- parsing edge cases ------------------------------------------------------------------ *)
@@ -361,13 +362,13 @@ let test_parse_failure_on_truncated () =
         Packet.serialize (Packet.ethernet_frame ~ether_type:0x0800 ())
         |> Bitvec.to_bytes_be
       in
-      ignore (Interp.run (cfg ()) ~ingress_port:1 (eth ^ "xx")))
+      ignore (Evaluator.run Evaluator.interpreted (cfg ()) ~ingress_port:1 (eth ^ "xx")))
 
 let test_non_ip_passes_parser () =
   let arp_like =
     Packet.serialize (Packet.ethernet_frame ~ether_type:0x9999 ()) |> Bitvec.to_bytes_be
   in
-  let b = Interp.run (cfg ()) ~ingress_port:1 (arp_like ^ "payload") in
+  let b = Evaluator.run Evaluator.interpreted (cfg ()) ~ingress_port:1 (arp_like ^ "payload") in
   check_bool "unknown ether type accepted and dropped" true (b.b_egress = None)
 
 (* Parse-deparse roundtrip: an unmodified pipeline must emit the very bytes
@@ -389,7 +390,7 @@ let prop_parse_deparse_identity =
         { Interp.program = Figure2.program; state = empty;
           hash_mode = Interp.Seeded 0; mirror_map = [] }
       in
-      let b = Interp.run c ~ingress_port:1 bytes in
+      let b = Evaluator.run Evaluator.interpreted c ~ingress_port:1 bytes in
       String.equal b.b_packet bytes)
 
 (* Differential property: for workload-provisioned middleblock state, the
@@ -409,8 +410,8 @@ let prop_seeded_within_enumerated =
       in
       let dst = Printf.sprintf "10.0.%d.%d" (Rng.int rng 20) (Rng.int rng 256) in
       let bytes = Packet.to_bytes (packet ~dst_mac:"02:00:00:00:00:00" ~dst ()) in
-      let b = Interp.run c ~ingress_port:1 bytes in
-      let set = Interp.enumerate_behaviors c ~ingress_port:1 bytes in
+      let b = Evaluator.run Evaluator.interpreted c ~ingress_port:1 bytes in
+      let set = Evaluator.enumerate_behaviors Evaluator.interpreted c ~ingress_port:1 bytes in
       List.exists (Interp.behavior_equal b) set)
 (* --- parser parity ---------------------------------------------------------------
 
@@ -450,8 +451,8 @@ let check_parity ?(program = Middleblock.program) what bytes expected =
   let cfg =
     { Interp.program; state = State.create (); hash_mode = Interp.Seeded 5; mirror_map = [] }
   in
-  let interp = parse_outcome (Interp.run cfg ~ingress_port:1) bytes in
-  let compiled = parse_outcome (Compile.run cfg ~ingress_port:1) bytes in
+  let interp = parse_outcome (Evaluator.run Evaluator.interpreted cfg ~ingress_port:1) bytes in
+  let compiled = parse_outcome (Evaluator.run Compile.evaluator cfg ~ingress_port:1) bytes in
   let stack = Stack.create program in
   ignore (Stack.push_p4info stack);
   let injected = Stack.inject stack ~ingress_port:1 bytes in

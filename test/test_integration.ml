@@ -16,6 +16,10 @@ module Control_campaign = Switchv_core.Control_campaign
 module Data_campaign = Switchv_core.Data_campaign
 module Trivial_suite = Switchv_core.Trivial_suite
 module Packet = Switchv_packet.Packet
+module Catalogue = Switchv_switch.Catalogue
+module Evaluator = Switchv_bmv2.Evaluator
+module Compile = Switchv_bmv2.Compile
+module Corpus = Switchv_triage.Corpus
 
 let check_bool = Alcotest.check Alcotest.bool
 
@@ -161,6 +165,36 @@ let test_cache_shared_across_campaigns () =
     (s1.ds_cache_hits = 0 && s1.ds_cache_misses > 0);
   check_bool "second run cached" true (s2.ds_cache_hits > 0 && s2.ds_cache_misses = 0)
 
+(* --- evaluator equivalence ------------------------------------------------------- *)
+
+(* The evaluator is chosen once, where the stacks are built, and every model
+   run of the campaign follows it: a seeded-fault validation over
+   interpreted stacks must report exactly what one over compiled stacks
+   reports — incidents, clusters and archived corpus lines. *)
+let test_evaluator_equivalence () =
+  let program = Middleblock.program in
+  let config = harness_config program in
+  let faults =
+    Result.get_ok (Catalogue.resolve program config.data_entries [ "PINS-019" ])
+  in
+  let observe evaluator =
+    let report =
+      Harness.validate (fun () -> Stack.create ~faults ~evaluator program) config
+    in
+    let incidents = Report.incidents report in
+    ( List.map (Format.asprintf "%a" Report.pp_incident) incidents,
+      List.map
+        (fun (c : Report.cluster) -> (c.cl_fingerprint, c.cl_count))
+        (Option.value ~default:[] report.clusters),
+      List.map Corpus.record_to_json (Harness.corpus_records report faults) )
+  in
+  let c_incidents, c_clusters, c_corpus = observe Compile.evaluator in
+  let i_incidents, i_clusters, i_corpus = observe Evaluator.interpreted in
+  check_bool "the seeded fault is reported" true (c_corpus <> []);
+  Alcotest.(check (list string)) "incidents" c_incidents i_incidents;
+  Alcotest.(check (list (pair string int))) "clusters" c_clusters i_clusters;
+  Alcotest.(check (list string)) "corpus lines" c_corpus i_corpus
+
 let () =
   Alcotest.run "integration"
     [ ("soundness",
@@ -199,4 +233,5 @@ let () =
       ("statistics",
        [ Alcotest.test_case "report statistics" `Slow test_report_statistics;
          Alcotest.test_case "fuzzed-entry data pass" `Slow test_fuzzed_data_pass;
-         Alcotest.test_case "shared cache" `Slow test_cache_shared_across_campaigns ]) ]
+         Alcotest.test_case "shared cache" `Slow test_cache_shared_across_campaigns;
+         Alcotest.test_case "interpreted = compiled" `Slow test_evaluator_equivalence ]) ]

@@ -25,6 +25,7 @@ module Entry = Switchv_p4runtime.Entry
 module State = Switchv_p4runtime.State
 module Ast = Switchv_p4ir.Ast
 module Interp = Switchv_bmv2.Interp
+module Evaluator = Switchv_bmv2.Evaluator
 module Compile = Switchv_bmv2.Compile
 module Middleblock = Switchv_sai.Middleblock
 module Workload = Switchv_sai.Workload
@@ -456,8 +457,8 @@ let observe run cfg ~ingress_port bytes =
   | f -> f
 
 let check_same_outcome msg cfg ~ingress_port bytes =
-  let i = observe Interp.run cfg ~ingress_port bytes in
-  let c = observe Compile.run cfg ~ingress_port bytes in
+  let i = observe (Evaluator.run Evaluator.interpreted) cfg ~ingress_port bytes in
+  let c = observe (Evaluator.run Compile.evaluator) cfg ~ingress_port bytes in
   match (i, c) with
   | B (bi, ci), B (bc, cc) ->
       if bi <> bc then
@@ -492,11 +493,11 @@ let test_compiled_behavior_cases () =
     cases;
   (* behavior-set enumeration must agree too (hash-round dispatch) *)
   let bytes = packet ~dst:"10.1.2.3" () in
-  let bi = Interp.enumerate_behaviors cfg ~ingress_port:1 bytes in
-  let bc = Compile.enumerate_behaviors cfg ~ingress_port:1 bytes in
+  let bi = Evaluator.enumerate_behaviors Evaluator.interpreted cfg ~ingress_port:1 bytes in
+  let bc = Evaluator.enumerate_behaviors Compile.evaluator cfg ~ingress_port:1 bytes in
   check_bool "enumerated behavior sets equal" true (bi = bc);
-  let ii = Interp.run_info cfg ~ingress_port:1 bytes in
-  let ic = Compile.run_info cfg ~ingress_port:1 bytes in
+  let ii = Evaluator.run_info Evaluator.interpreted cfg ~ingress_port:1 bytes in
+  let ic = Evaluator.run_info Compile.evaluator cfg ~ingress_port:1 bytes in
   check_int "hash calls" ii.Interp.ri_hash_calls ic.Interp.ri_hash_calls;
   check_bool "valid headers at deparse" true (ii.Interp.ri_valid = ic.Interp.ri_valid)
 
@@ -542,8 +543,8 @@ let test_compiled_packet_out () =
   in
   List.iter
     (fun egress_port ->
-      let bi = Interp.run_packet_out cfg ~egress_port po in
-      let bc = Compile.run_packet_out cfg ~egress_port po in
+      let bi = Evaluator.run_packet_out Evaluator.interpreted cfg ~egress_port po in
+      let bc = Evaluator.run_packet_out Compile.evaluator cfg ~egress_port po in
       check_bool "packet-out behaviors equal" true (bi = bc))
     [ Some 3; None ]
 

@@ -289,6 +289,7 @@ let prop_readback_corruption_detected =
 
 module Dataplane = Switchv_oracle.Dataplane
 module Interp = Switchv_bmv2.Interp
+module Evaluator = Switchv_bmv2.Evaluator
 module Analysis = Switchv_analysis.Analysis
 module Taint = Switchv_analysis.Taint
 module Packet = Switchv_packet.Packet
@@ -372,7 +373,7 @@ let test_seeded_soak () =
   let bytes = wcmp_packet () in
   for seed = 0 to 199 do
     let cfg = wcmp_cfg ~hash_mode:(Interp.Seeded seed) () in
-    let switch = Interp.run cfg ~ingress_port:1 bytes in
+    let switch = Evaluator.run Evaluator.interpreted cfg ~ingress_port:1 bytes in
     (match switch.Interp.b_egress with
     | Some p ->
         if not (List.mem p (Dataplane.candidate_ports dp)) then
@@ -389,7 +390,7 @@ let test_seeded_soak () =
 let test_out_of_set_diverges () =
   let dp = Dataplane.create (wcmp_cfg ()) ~taint:(Lazy.force wcmp_taint) in
   let bytes = wcmp_packet () in
-  let model = Interp.run (wcmp_cfg ~hash_mode:(Interp.Fixed 0) ()) ~ingress_port:1 bytes in
+  let model = Evaluator.run Evaluator.interpreted (wcmp_cfg ~hash_mode:(Interp.Fixed 0) ()) ~ingress_port:1 bytes in
   let rogue = { model with Interp.b_egress = Some 5 } in
   match Dataplane.judge dp ~ingress_port:1 ~bytes ~switch:rogue with
   | Dataplane.Diverged admitted ->
@@ -404,7 +405,7 @@ let test_out_of_set_diverges () =
 let test_drop_vs_forward_diverges () =
   let dp = Dataplane.create (wcmp_cfg ()) ~taint:(Lazy.force wcmp_taint) in
   let bytes = wcmp_packet () in
-  let model = Interp.run (wcmp_cfg ~hash_mode:(Interp.Fixed 0) ()) ~ingress_port:1 bytes in
+  let model = Evaluator.run Evaluator.interpreted (wcmp_cfg ~hash_mode:(Interp.Fixed 0) ()) ~ingress_port:1 bytes in
   let dropped =
     { model with Interp.b_egress = None; b_punted = false; b_packet = "" }
   in
@@ -440,7 +441,7 @@ let test_hash_free_exactness () =
   let dp = Dataplane.create cfg ~taint in
   check_bool "no candidates" true (Dataplane.candidate_ports dp = []);
   let bytes = wcmp_packet ~dst:"10.0.1.1" () in
-  let honest = Interp.run cfg ~ingress_port:1 bytes in
+  let honest = Evaluator.run Evaluator.interpreted cfg ~ingress_port:1 bytes in
   (match Dataplane.judge dp ~ingress_port:1 ~bytes ~switch:honest with
   | Dataplane.Admitted -> ()
   | Dataplane.Diverged _ -> Alcotest.fail "honest hash-free behaviour diverged");

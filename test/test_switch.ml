@@ -18,6 +18,7 @@ module Middleblock = Switchv_sai.Middleblock
 module Cerberus = Switchv_sai.Cerberus
 module Workload = Switchv_sai.Workload
 module Interp = Switchv_bmv2.Interp
+module Evaluator = Switchv_bmv2.Evaluator
 module Compile = Switchv_bmv2.Compile
 
 let check_bool = Alcotest.check Alcotest.bool
@@ -255,6 +256,25 @@ let test_catalogue_resolution_distribution () =
 let test_catalogue_ids_unique () =
   let ids = List.map (fun (f : Fault.t) -> f.id) (pins_catalogue () @ cerb_catalogue ()) in
   check_int "unique ids" (List.length ids) (List.length (List.sort_uniq compare ids))
+
+(* Ids resolve across all three catalogues in the order given; an unknown
+   id is a typed error naming it, never an exception. *)
+let test_catalogue_resolve () =
+  let entries = Workload.generate ~seed:1 Middleblock.program Workload.small in
+  let resolve = Catalogue.resolve Middleblock.program entries in
+  (match resolve [ "TOPO-001"; "PINS-019"; "CERB-003" ] with
+  | Ok fs ->
+      Alcotest.(check (list string)) "ids in order" [ "TOPO-001"; "PINS-019"; "CERB-003" ]
+        (List.map (fun (f : Fault.t) -> f.id) fs)
+  | Error m -> Alcotest.failf "known ids rejected: %s" m);
+  (match resolve [] with
+  | Ok [] -> ()
+  | _ -> Alcotest.fail "no ids must resolve to no faults");
+  match resolve [ "PINS-019"; "NOPE" ] with
+  | Ok _ -> Alcotest.fail "unknown id NOPE resolved"
+  | Error m ->
+      Alcotest.(check string) "error names the id"
+        "no catalogue fault \"NOPE\" for this model" m
 (* --- mirror sessions ------------------------------------------------------------ *)
 
 (* The data plane builds its mirror map from the mirror-session table
@@ -306,7 +326,7 @@ let test_mirror_map_from_session_table () =
     let got = (Stack.inject s ~ingress_port:1 bytes).b_mirrors in
     let asic = Stack.asic_state s in
     let reference =
-      (Compile.run
+      (Evaluator.run Compile.evaluator
          { Interp.program = Stack.program s;
            state = asic;
            hash_mode = Interp.Seeded 0;
@@ -353,6 +373,7 @@ let () =
        [ Alcotest.test_case "sizes" `Quick test_catalogue_sizes;
          Alcotest.test_case "detector split" `Quick test_catalogue_detector_split;
          Alcotest.test_case "components" `Quick test_catalogue_components;
+         Alcotest.test_case "resolve ids" `Quick test_catalogue_resolve;
          Alcotest.test_case "resolution distribution" `Quick
            test_catalogue_resolution_distribution;
          Alcotest.test_case "unique ids" `Quick test_catalogue_ids_unique ]) ]

@@ -9,6 +9,7 @@ module Ternary = Switchv_bitvec.Ternary
 module Entry = Switchv_p4runtime.Entry
 module State = Switchv_p4runtime.State
 module Interp = Switchv_bmv2.Interp
+module Evaluator = Switchv_bmv2.Evaluator
 module Symexec = Switchv_symbolic.Symexec
 module Packetgen = Switchv_symbolic.Packetgen
 module Cache = Switchv_symbolic.Cache
@@ -59,7 +60,7 @@ let check_goal_agreement program entries =
           (match String.split_on_char ':' tp.tp_goal with
           | "entry" :: table :: rest ->
               let label = String.concat ":" rest in
-              let b = Interp.run cfg ~ingress_port:tp.tp_port bytes in
+              let b = Evaluator.run Evaluator.interpreted cfg ~ingress_port:tp.tp_port bytes in
               let hit =
                 List.exists
                   (fun (t, a) ->
@@ -130,7 +131,7 @@ let test_generated_packets_reparse () =
     (fun (tp : Packetgen.test_packet) ->
       match tp.tp_bytes with
       | Some bytes -> (
-          match Interp.run cfg ~ingress_port:tp.tp_port bytes with
+          match Evaluator.run Evaluator.interpreted cfg ~ingress_port:tp.tp_port bytes with
           | _ -> ()
           | exception Interp.Parse_failure msg ->
               Alcotest.failf "generated packet does not reparse: %s" msg)
@@ -282,7 +283,7 @@ let prop_symbolic_outputs_match_interp =
         { Interp.program; state = state_of entries; hash_mode = Interp.Fixed 0;
           mirror_map = [] }
       in
-      let b = Interp.run_packet cfg ~ingress_port:1 pkt in
+      let b = Evaluator.run_packet Evaluator.interpreted cfg ~ingress_port:1 pkt in
       let interp_dropped = b.b_egress = None in
       sym_dropped = interp_dropped
       && sym_punted = b.b_punted
@@ -315,7 +316,7 @@ let test_trace_coverage_combinations () =
       match tp.tp_bytes with
       | None -> ()
       | Some bytes ->
-          let b = Interp.run cfg ~ingress_port:tp.tp_port bytes in
+          let b = Evaluator.run Evaluator.interpreted cfg ~ingress_port:tp.tp_port bytes in
           let hit table =
             List.exists (fun (t, _) -> String.equal t table) b.b_trace
           in
@@ -402,7 +403,7 @@ let test_prefer_forwarded () =
          (fun (tp : Packetgen.test_packet) ->
            match tp.tp_bytes with
            | Some bytes ->
-               (Interp.run cfg ~ingress_port:tp.tp_port bytes).b_egress <> None
+               (Evaluator.run Evaluator.interpreted cfg ~ingress_port:tp.tp_port bytes).b_egress <> None
            | None -> false)
          r.packets)
   in
@@ -416,7 +417,7 @@ let test_port_cycling () =
   let entries = Workload.generate ~seed:4 Middleblock.program Workload.small in
   let enc = Symexec.encode Middleblock.program entries in
   let goals = Packetgen.entry_coverage_goals enc in
-  let r = Packetgen.generate ~ports:[ 1; 2; 3; 4 ] enc goals in
+  let r = Packetgen.generate enc goals in
   let ports =
     List.sort_uniq Int.compare
       (List.filter_map
@@ -424,7 +425,7 @@ let test_port_cycling () =
            if tp.tp_bytes <> None then Some tp.tp_port else None)
          r.packets)
   in
-  check_bool "all four ingress ports used" true (List.length ports = 4)
+  Alcotest.(check (list int)) "all four ingress ports used" Packetgen.ports ports
 
 (* The incremental pipeline (shared solver, push/pop prefix scopes,
    assumption deltas) and the per-goal scratch pipeline must produce the
