@@ -23,6 +23,9 @@ val of_int : width:int -> int -> t
 
 val of_int64 : width:int -> int64 -> t
 
+val init : int -> (int -> bool) -> t
+(** [init w f]: the width-[w] vector whose bit [i] (0 = LSB) is [f i]. *)
+
 val of_bin_string : string -> t
 (** Parse a binary string, e.g. ["1010"] has width 4. *)
 

@@ -27,14 +27,32 @@ module Vec = struct
     t.size <- t.size + 1
 
   let get t i = t.data.(i)
-  let set t i x = t.data.(i) <- x
   let size t = t.size
   let shrink t n = t.size <- n
+
+  (* Keep the elements satisfying [keep], in their order. *)
+  let filter_in_place keep t =
+    let j = ref 0 in
+    for i = 0 to t.size - 1 do
+      let x = t.data.(i) in
+      if keep x then begin
+        t.data.(!j) <- x;
+        incr j
+      end
+    done;
+    for i = !j to t.size - 1 do t.data.(i) <- t.dummy done;
+    t.size <- !j
 end
 
 type clause = { lits : int array; learned : bool; mutable activity : float }
 
-(* Variable order: binary max-heap on activity, with position index. *)
+(* The reason of a decision, of a root fact, and of an unassigned variable;
+   also "no conflict" from [propagate]. Compared by physical equality. *)
+let dummy_clause = { lits = [||]; learned = false; activity = 0.0 }
+
+(* Variable order: binary max-heap on activity, with position index. The
+   activity array is typed [float array] throughout so comparisons compile
+   to unboxed float compares. *)
 module Heap = struct
   type t = {
     mutable heap : int array;       (* heap of variable indices *)
@@ -58,7 +76,7 @@ module Heap = struct
     t.heap.(i) <- vj; t.heap.(j) <- vi;
     t.pos.(vj) <- i; t.pos.(vi) <- j
 
-  let rec up t act i =
+  let rec up t (act : float array) i =
     if i > 0 then begin
       let p = (i - 1) / 2 in
       if act.(t.heap.(i)) > act.(t.heap.(p)) then begin
@@ -66,14 +84,14 @@ module Heap = struct
       end
     end
 
-  let rec down t act i =
+  let rec down t (act : float array) i =
     let l = (2 * i) + 1 and r = (2 * i) + 2 in
     let best = ref i in
     if l < t.size && act.(t.heap.(l)) > act.(t.heap.(!best)) then best := l;
     if r < t.size && act.(t.heap.(r)) > act.(t.heap.(!best)) then best := r;
     if !best <> i then begin swap t i !best; down t act !best end
 
-  let insert t act v =
+  let insert t (act : float array) v =
     ensure_var t v;
     if not (in_heap t v) then begin
       if t.size = Array.length t.heap then begin
@@ -87,9 +105,9 @@ module Heap = struct
       up t act t.pos.(v)
     end
 
-  let decrease t act v = if in_heap t v then up t act t.pos.(v)
+  let decrease t (act : float array) v = if in_heap t v then up t act t.pos.(v)
 
-  let pop_max t act =
+  let pop_max t (act : float array) =
     let v = t.heap.(0) in
     t.size <- t.size - 1;
     t.pos.(v) <- -1;
@@ -102,13 +120,24 @@ module Heap = struct
     v
 
   let is_empty t = t.size = 0
+
+  (* Variables [0, n) in index order: the heap a fresh solver builds by
+     inserting them one by one while every activity is equal. *)
+  let rebuild t n =
+    if n > 0 then ensure_var t (n - 1);
+    if n > Array.length t.heap then t.heap <- Array.make n 0;
+    for v = 0 to n - 1 do
+      t.heap.(v) <- v;
+      t.pos.(v) <- v
+    done;
+    t.size <- n
 end
 
 type t = {
   mutable nvars : int;
   mutable assigns : int array;      (* -1 unassigned / 0 false / 1 true *)
   mutable level : int array;
-  mutable reason : clause option array;
+  mutable reason : clause array;    (* [dummy_clause] when none *)
   mutable phase : bool array;       (* saved phase *)
   mutable activity : float array;
   mutable watches : clause Vec.t array;  (* indexed by literal *)
@@ -117,10 +146,12 @@ type t = {
   trail_lim : int Vec.t;            (* decision level boundaries *)
   mutable qhead : int;
   order : Heap.t;
+  mutable order_head : int;         (* [order] positions below are assigned *)
   mutable var_inc : float;
   mutable cla_inc : float;
   mutable seen : bool array;
   mutable ok : bool;                (* false once a top-level conflict found *)
+  mutable n_live_learned : int;     (* learned clauses in [clauses] *)
   (* statistics *)
   mutable n_conflicts : int;
   mutable n_decisions : int;
@@ -129,13 +160,11 @@ type t = {
   mutable n_learned : int;
 }
 
-let dummy_clause = { lits = [||]; learned = false; activity = 0.0 }
-
 let create () =
   { nvars = 0;
     assigns = Array.make 16 (-1);
     level = Array.make 16 0;
-    reason = Array.make 16 None;
+    reason = Array.make 16 dummy_clause;
     phase = Array.make 16 false;
     activity = Array.make 16 0.0;
     watches = Array.init 32 (fun _ -> Vec.create dummy_clause);
@@ -144,10 +173,12 @@ let create () =
     trail_lim = Vec.create 0;
     qhead = 0;
     order = Heap.create ();
+    order_head = 0;
     var_inc = 1.0;
     cla_inc = 1.0;
     seen = Array.make 16 false;
     ok = true;
+    n_live_learned = 0;
     n_conflicts = 0;
     n_decisions = 0;
     n_propagations = 0;
@@ -167,7 +198,7 @@ let new_var t =
     in
     t.assigns <- grow t.assigns (-1);
     t.level <- grow t.level 0;
-    t.reason <- grow t.reason None;
+    t.reason <- grow t.reason dummy_clause;
     t.phase <- grow t.phase false;
     t.activity <- grow t.activity 0.0;
     t.seen <- grow t.seen false;
@@ -216,32 +247,42 @@ let add_clause t lits =
     (* Simplify: drop duplicate/false literals, detect tautologies. Only
        sound at level 0; callers add clauses before/between solves, where we
        restart from level 0 anyway, but literal values at level > 0 must be
-       ignored. *)
+       ignored. Clauses are a handful of literals, so duplicates are found
+       by scanning the ones before; the kept literals keep their order. *)
     let at_top = decision_level t = 0 in
-    let tbl = Hashtbl.create 8 in
+    let lits = Array.of_list (lits :> int list) in
+    let n = Array.length lits in
+    let kept = Array.make n 0 in
+    let nkept = ref 0 in
     let taut = ref false in
-    let lits =
-      List.filter
-        (fun l ->
-          if Hashtbl.mem tbl (Lit.neg l) then taut := true;
-          if Hashtbl.mem tbl l then false
-          else begin
-            Hashtbl.add tbl l ();
-            not (at_top && lit_value t l = 0)
-          end)
-        (lits :> int list)
-    in
+    for i = 0 to n - 1 do
+      let l = lits.(i) in
+      let first = ref true in
+      for j = 0 to i - 1 do
+        if lits.(j) = l then first := false
+        else if lits.(j) = Lit.neg l then taut := true
+      done;
+      if !first && not (at_top && lit_value t l = 0) then begin
+        kept.(!nkept) <- l;
+        incr nkept
+      end
+    done;
     if not !taut then begin
-      let already_sat = at_top && List.exists (fun l -> lit_value t l = 1) lits in
-      if not already_sat then
-        match lits with
-        | [] -> t.ok <- false
-        | [ l ] ->
+      let already_sat = ref false in
+      if at_top then
+        for i = 0 to !nkept - 1 do
+          if lit_value t kept.(i) = 1 then already_sat := true
+        done;
+      if not !already_sat then
+        match !nkept with
+        | 0 -> t.ok <- false
+        | 1 ->
+            let l = kept.(0) in
             if at_top then begin
               match lit_value t l with
               | 1 -> ()
               | 0 -> t.ok <- false
-              | _ -> enqueue t l None
+              | _ -> enqueue t l dummy_clause
             end
             else begin
               (* Shouldn't happen in our usage; store as a clause with a
@@ -250,67 +291,71 @@ let add_clause t lits =
               Vec.push t.clauses c;
               attach_clause t c
             end
-        | l1 :: l2 :: _ ->
-            let c = { lits = Array.of_list lits; learned = false; activity = 0.0 } in
-            ignore l1; ignore l2;
+        | k ->
+            let c = { lits = Array.sub kept 0 k; learned = false; activity = 0.0 } in
             Vec.push t.clauses c;
             attach_clause t c
     end
   end
 
-(* Propagate all enqueued facts. Returns the conflicting clause if any. *)
+(* Propagate all enqueued facts. Returns the conflicting clause, or
+   [dummy_clause] when there is none. This is the solver's hot loop: it
+   allocates nothing (a watcher moves to another list only through
+   [Vec.push], which allocates only when that list grows). *)
 let propagate t =
-  let conflict = ref None in
-  while !conflict = None && t.qhead < Vec.size t.trail do
+  let conflict = ref dummy_clause in
+  while !conflict == dummy_clause && t.qhead < Vec.size t.trail do
     let p = Vec.get t.trail t.qhead in
     t.qhead <- t.qhead + 1;
     t.n_propagations <- t.n_propagations + 1;
+    let falsel = Lit.neg p in
     let ws = t.watches.(p) in
+    (* [ws] itself never grows here: a clause moves to the list of a
+       literal that is not false, and [p]'s list holds clauses watching a
+       false literal. *)
+    let data = ws.Vec.data in
     let n = Vec.size ws in
-    let j = ref 0 in
-    (let i = ref 0 in
-     while !i < n do
-       let c = Vec.get ws !i in
-       incr i;
-       if !conflict <> None then begin
-         (* Copy the remaining watchers unchanged. *)
-         Vec.set ws !j c;
-         incr j
-       end
-       else begin
-         (* Make sure the false literal is lits.(1). *)
-         let falsel = Lit.neg p in
-         if c.lits.(0) = falsel then begin
-           c.lits.(0) <- c.lits.(1);
-           c.lits.(1) <- falsel
-         end;
-         if lit_value t c.lits.(0) = 1 then begin
-           (* Clause already satisfied; keep watching. *)
-           Vec.set ws !j c;
-           incr j
-         end
-         else begin
-           (* Look for a new literal to watch. *)
-           let len = Array.length c.lits in
-           let rec find k =
-             if k >= len then None
-             else if lit_value t c.lits.(k) <> 0 then Some k
-             else find (k + 1)
-           in
-           match find 2 with
-           | Some k ->
-               c.lits.(1) <- c.lits.(k);
-               c.lits.(k) <- falsel;
-               watch t (Lit.neg c.lits.(1)) c
-           | None ->
-               (* Unit or conflicting. *)
-               Vec.set ws !j c;
-               incr j;
-               if lit_value t c.lits.(0) = 0 then conflict := Some c
-               else enqueue t c.lits.(0) (Some c)
-         end
-       end
-     done);
+    let i = ref 0 and j = ref 0 in
+    while !i < n do
+      let c = data.(!i) in
+      incr i;
+      if !conflict != dummy_clause then begin
+        (* Copy the remaining watchers unchanged. *)
+        data.(!j) <- c;
+        incr j
+      end
+      else begin
+        let lits = c.lits in
+        (* Make sure the false literal is lits.(1). *)
+        if lits.(0) = falsel then begin
+          lits.(0) <- lits.(1);
+          lits.(1) <- falsel
+        end;
+        if lit_value t lits.(0) = 1 then begin
+          (* Clause already satisfied; keep watching. *)
+          data.(!j) <- c;
+          incr j
+        end
+        else begin
+          (* Look for a new literal to watch. *)
+          let len = Array.length lits in
+          let k = ref 2 in
+          while !k < len && lit_value t lits.(!k) = 0 do incr k done;
+          if !k < len then begin
+            lits.(1) <- lits.(!k);
+            lits.(!k) <- falsel;
+            watch t (Lit.neg lits.(1)) c
+          end
+          else begin
+            (* Unit or conflicting. *)
+            data.(!j) <- c;
+            incr j;
+            if lit_value t lits.(0) = 0 then conflict := c
+            else enqueue t lits.(0) c
+          end
+        end
+      end
+    done;
     Vec.shrink ws !j
   done;
   !conflict
@@ -322,36 +367,32 @@ let analyze t confl =
   let seen = t.seen in
   let path = ref 0 in
   let p = ref (-1) in
-  let confl = ref (Some confl) in
+  let confl = ref confl in
   let idx = ref (Vec.size t.trail - 1) in
   let btlevel = ref 0 in
   let continue = ref true in
   while !continue do
-    (match !confl with
-    | None -> assert false
-    | Some c ->
-        if c.learned then c.activity <- c.activity +. t.cla_inc;
-        let start = if !p = -1 then 0 else 1 in
-        for k = start to Array.length c.lits - 1 do
-          let q = c.lits.(k) in
-          let v = Lit.var q in
-          if (not seen.(v)) && t.level.(v) > 0 then begin
-            var_bump t v;
-            seen.(v) <- true;
-            if t.level.(v) >= decision_level t then incr path
-            else begin
-              learnt := q :: !learnt;
-              if t.level.(v) > !btlevel then btlevel := t.level.(v)
-            end
-          end
-        done);
+    let c = !confl in
+    assert (c != dummy_clause);
+    if c.learned then c.activity <- c.activity +. t.cla_inc;
+    let start = if !p = -1 then 0 else 1 in
+    for k = start to Array.length c.lits - 1 do
+      let q = c.lits.(k) in
+      let v = Lit.var q in
+      if (not seen.(v)) && t.level.(v) > 0 then begin
+        var_bump t v;
+        seen.(v) <- true;
+        if t.level.(v) >= decision_level t then incr path
+        else begin
+          learnt := q :: !learnt;
+          if t.level.(v) > !btlevel then btlevel := t.level.(v)
+        end
+      end
+    done;
     (* Select next literal to look at. *)
-    let rec next () =
-      let l = Vec.get t.trail !idx in
-      decr idx;
-      if seen.(Lit.var l) then l else next ()
-    in
-    let l = next () in
+    while not seen.(Lit.var (Vec.get t.trail !idx)) do decr idx done;
+    let l = Vec.get t.trail !idx in
+    decr idx;
     p := l;
     confl := t.reason.(Lit.var l);
     seen.(Lit.var l) <- false;
@@ -371,25 +412,25 @@ let cancel_until t lvl =
       let v = Lit.var l in
       t.phase.(v) <- Lit.sign l;
       t.assigns.(v) <- -1;
-      t.reason.(v) <- None;
+      t.reason.(v) <- dummy_clause;
       Heap.insert t.order t.activity v
     done;
     Vec.shrink t.trail bound;
     Vec.shrink t.trail_lim lvl;
-    t.qhead <- Vec.size t.trail
+    t.qhead <- Vec.size t.trail;
+    t.order_head <- 0
   end
 
 let new_decision_level t = Vec.push t.trail_lim (Vec.size t.trail)
 
-let pick_branch_var t =
-  let rec go () =
-    if Heap.is_empty t.order then None
-    else begin
-      let v = Heap.pop_max t.order t.activity in
-      if t.assigns.(v) < 0 then Some v else go ()
-    end
-  in
-  go ()
+(* The unassigned variable of highest activity, or -1 when every variable
+   is assigned. *)
+let rec pick_branch_var t =
+  if Heap.is_empty t.order then -1
+  else begin
+    let v = Heap.pop_max t.order t.activity in
+    if t.assigns.(v) < 0 then v else pick_branch_var t
+  end
 
 (* Luby sequence (1 1 2 1 1 2 4 ...): luby i with i >= 1. *)
 let rec luby i =
@@ -421,16 +462,17 @@ let analyze_final t p =
       let l = Vec.get t.trail i in
       let v = Lit.var l in
       if seen.(v) then begin
-        (match t.reason.(v) with
-        | None ->
-            (* A decision above level 0: an assumption literal (possibly the
-               negation of [p] itself when assumptions directly conflict). *)
-            if l <> p then core := l :: !core
-        | Some c ->
-            Array.iter
-              (fun q ->
-                if t.level.(Lit.var q) > 0 then seen.(Lit.var q) <- true)
-              c.lits);
+        let c = t.reason.(v) in
+        if c == dummy_clause then begin
+          (* A decision above level 0: an assumption literal (possibly the
+             negation of [p] itself when assumptions directly conflict). *)
+          if l <> p then core := l :: !core
+        end
+        else
+          Array.iter
+            (fun q ->
+              if t.level.(Lit.var q) > 0 then seen.(Lit.var q) <- true)
+            c.lits;
         seen.(v) <- false
       end
     done;
@@ -438,33 +480,34 @@ let analyze_final t p =
   end;
   !core
 
-(* Find the first literal in [order] whose variable is still unassigned.
+(* The first literal in [order] whose variable is still unassigned, or -1.
    Decisions taken from [order] always use the literal's own polarity (no
    saved-phase override): together with the fixed scan order this makes the
    model found a pure function of the clause set's meaning — the
    lexicographically preferred model w.r.t. [order] — independent of learned
-   clauses, VSIDS state, and restart timing. *)
-let pick_ordered t order =
+   clauses, VSIDS state, and restart timing. Assignments only grow between
+   backtracks, so the scan resumes at [order_head], which [cancel_until]
+   rewinds to 0. *)
+let pick_ordered t (order : int array) =
   let n = Array.length order in
-  let rec go i =
-    if i >= n then None
-    else
-      let l = order.(i) in
-      if t.assigns.(Lit.var l) < 0 then Some l else go (i + 1)
-  in
-  go 0
+  let i = ref t.order_head in
+  while !i < n && t.assigns.(Lit.var order.(!i)) >= 0 do incr i done;
+  t.order_head <- !i;
+  if !i < n then order.(!i) else -1
 
 let solve_with_assumptions ?order t assumptions =
   if not t.ok then A_unsat []
   else begin
     cancel_until t 0;
+    t.order_head <- 0;
     let assumptions = Array.of_list (assumptions :> int list) in
-    let order = match order with None -> [||] | Some o -> (o : Lit.t array) in
+    let order = match order with None -> [||] | Some o -> (o : Lit.t array :> int array) in
     let core = ref [] in
     try
-      (match propagate t with
-      | Some _ -> t.ok <- false; raise Unsat_exn
-      | None -> ());
+      if propagate t != dummy_clause then begin
+        t.ok <- false;
+        raise Unsat_exn
+      end;
       let restart_n = ref 0 in
       let rec search_forever () =
         incr restart_n;
@@ -472,60 +515,62 @@ let solve_with_assumptions ?order t assumptions =
         let conflicts_here = ref 0 in
         (try
            while true do
-             match propagate t with
-             | Some confl ->
-                 t.n_conflicts <- t.n_conflicts + 1;
-                 incr conflicts_here;
-                 if decision_level t = 0 then begin
-                   t.ok <- false;
+             let confl = propagate t in
+             if confl != dummy_clause then begin
+               t.n_conflicts <- t.n_conflicts + 1;
+               incr conflicts_here;
+               if decision_level t = 0 then begin
+                 t.ok <- false;
+                 raise Unsat_exn
+               end;
+               let learnt, btlevel = analyze t confl in
+               cancel_until t btlevel;
+               (if Array.length learnt = 1 then enqueue t learnt.(0) dummy_clause
+                else begin
+                  let c = { lits = learnt; learned = true; activity = t.cla_inc } in
+                  Vec.push t.clauses c;
+                  t.n_learned <- t.n_learned + 1;
+                  t.n_live_learned <- t.n_live_learned + 1;
+                  attach_clause t c;
+                  enqueue t learnt.(0) c
+                end);
+               var_decay t;
+               if !conflicts_here >= budget then begin
+                 t.n_restarts <- t.n_restarts + 1;
+                 cancel_until t 0;
+                 raise Restart
+               end
+             end
+             else if decision_level t < Array.length assumptions then begin
+               (* Decide next: assumptions first, then the canonical order
+                  if given, then VSIDS. *)
+               let p = assumptions.(decision_level t) in
+               match lit_value t p with
+               | 1 -> new_decision_level t
+               | 0 ->
+                   (* Conflicts with the assumptions: report which. *)
+                   core := analyze_final t p;
                    raise Unsat_exn
-                 end;
-                 let learnt, btlevel = analyze t confl in
-                 cancel_until t btlevel;
-                 (if Array.length learnt = 1 then enqueue t learnt.(0) None
-                  else begin
-                    let c = { lits = learnt; learned = true; activity = t.cla_inc } in
-                    Vec.push t.clauses c;
-                    t.n_learned <- t.n_learned + 1;
-                    attach_clause t c;
-                    enqueue t learnt.(0) (Some c)
-                  end);
-                 var_decay t;
-                 if !conflicts_here >= budget then begin
-                   t.n_restarts <- t.n_restarts + 1;
-                   cancel_until t 0;
-                   raise Restart
-                 end
-             | None ->
-                 (* Decide next: assumptions first, then the canonical order
-                    if given, then VSIDS. *)
-                 if decision_level t < Array.length assumptions then begin
-                   let p = assumptions.(decision_level t) in
-                   match lit_value t p with
-                   | 1 -> new_decision_level t
-                   | 0 ->
-                       (* Conflicts with the assumptions: report which. *)
-                       core := analyze_final t p;
-                       raise Unsat_exn
-                   | _ ->
-                       t.n_decisions <- t.n_decisions + 1;
-                       new_decision_level t;
-                       enqueue t p None
-                 end
-                 else begin
-                   match pick_ordered t order with
-                   | Some l ->
-                       t.n_decisions <- t.n_decisions + 1;
-                       new_decision_level t;
-                       enqueue t l None
-                   | None -> (
-                       match pick_branch_var t with
-                       | None -> raise Exit (* all assigned: SAT *)
-                       | Some v ->
-                           t.n_decisions <- t.n_decisions + 1;
-                           new_decision_level t;
-                           enqueue t (Lit.make v t.phase.(v)) None)
-                 end
+               | _ ->
+                   t.n_decisions <- t.n_decisions + 1;
+                   new_decision_level t;
+                   enqueue t p dummy_clause
+             end
+             else begin
+               let l = pick_ordered t order in
+               if l >= 0 then begin
+                 t.n_decisions <- t.n_decisions + 1;
+                 new_decision_level t;
+                 enqueue t l dummy_clause
+               end
+               else begin
+                 let v = pick_branch_var t in
+                 if v < 0 then raise Exit (* all assigned: SAT *);
+                 t.n_decisions <- t.n_decisions + 1;
+                 new_decision_level t;
+                 enqueue t (Lit.make v t.phase.(v)) dummy_clause
+               end
+             end
            done
          with Restart -> ());
         search_forever ()
@@ -546,8 +591,33 @@ let solve ?(assumptions = []) t =
   | A_unsat _ -> Unsat
 
 let value t v = if t.assigns.(v) >= 0 then t.assigns.(v) = 1 else t.phase.(v)
-let num_learned t = t.n_learned
+let num_learned t = t.n_live_learned
 let cancel_to_root t = cancel_until t 0
+
+(* Back to the search state of a fresh solver holding the same clauses:
+   learned clauses leave the database and their watch lists (order kept),
+   activities, phases and the increments return to their initial values, and
+   the heap holds every variable in index order. Root-level facts stay —
+   they are implied by the clauses — but their reasons are dropped, since
+   level-0 reasons are never read. *)
+let reset_search t =
+  cancel_until t 0;
+  if t.n_live_learned > 0 then begin
+    let original c = not c.learned in
+    Vec.filter_in_place original t.clauses;
+    for l = 0 to (2 * t.nvars) - 1 do
+      Vec.filter_in_place original t.watches.(l)
+    done;
+    t.n_live_learned <- 0
+  end;
+  for i = 0 to Vec.size t.trail - 1 do
+    t.reason.(Lit.var (Vec.get t.trail i)) <- dummy_clause
+  done;
+  Array.fill t.activity 0 t.nvars 0.0;
+  Array.fill t.phase 0 t.nvars false;
+  t.var_inc <- 1.0;
+  t.cla_inc <- 1.0;
+  Heap.rebuild t.order t.nvars
 
 let stats t =
   [ ("conflicts", t.n_conflicts);

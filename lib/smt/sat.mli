@@ -72,13 +72,23 @@ val value : t -> int -> bool
     report their saved phase (defaults to [false]). *)
 
 val num_learned : t -> int
-(** Learned clauses currently retained in the clause database. *)
+(** Learned clauses currently retained in the clause database (0 after
+    {!reset_search}; the [learned] entry of {!stats} counts every clause
+    ever learned). *)
 
 val cancel_to_root : t -> unit
 (** Backtrack to decision level 0, discarding the current assignment (a
     model read via [value] beforehand is unaffected by later calls). Clause
     additions between solves should happen at level 0 so [add_clause]'s
     simplifications see only root-level facts. *)
+
+val reset_search : t -> unit
+(** Return to the search state of a fresh solver holding the same clauses,
+    without rebuilding them: backtrack to level 0, drop every learned
+    clause, and reset VSIDS activities, saved phases and the activity
+    increments to their initial values, with the variable heap in index
+    order. Root-level facts, the watch lists of the remaining clauses and
+    the counters of {!stats} are kept. *)
 
 val stats : t -> (string * int) list
 (** Counters: conflicts, decisions, propagations, restarts, learned. *)

@@ -8,6 +8,21 @@ module Phys = Hashtbl.Make (struct
   let hash = Hashtbl.hash
 end)
 
+(* Gate memos key on literals. A literal pair packs into one int (literals
+   stay below 2^31: that is 2^30 variables); a mux's three literals are the
+   select literal and a packed pair. *)
+module Int_tbl = Hashtbl.Make (struct
+  type t = int
+  let equal = Int.equal
+  let hash = Hashtbl.hash
+end)
+
+module Pair_tbl = Hashtbl.Make (struct
+  type t = int * int
+  let equal (a, b) (c, d) = a = c && b = d
+  let hash = Hashtbl.hash
+end)
+
 (* A push scope: formulas asserted while the scope is active are guarded by
    its selector literal (clause [~sel \/ lit]), and every [check] assumes the
    selectors of all active scopes. [pop] retires the scope by asserting the
@@ -26,7 +41,9 @@ type t = {
   bool_vars : (string, Lit.t) Hashtbl.t;
   bv_memo : Lit.t array Phys.t;
   bool_memo : Lit.t Phys.t;
-  gate_memo : (string * int * int * int, Lit.t) Hashtbl.t;
+  and_memo : Lit.t Int_tbl.t;
+  xor_memo : Lit.t Int_tbl.t;
+  mux_memo : Lit.t Pair_tbl.t;
   mutable n_gates : int;
   mutable scopes : scope list;           (* innermost first *)
   mutable root_originals : Term.boolean list;
@@ -46,7 +63,9 @@ let create () =
     bool_vars = Hashtbl.create 16;
     bv_memo = Phys.create 1024;
     bool_memo = Phys.create 1024;
-    gate_memo = Hashtbl.create 4096;
+    and_memo = Int_tbl.create 4096;
+    xor_memo = Int_tbl.create 1024;
+    mux_memo = Pair_tbl.create 1024;
     n_gates = 0;
     scopes = [];
     root_originals = [] }
@@ -59,16 +78,18 @@ let of_bool t b = if b then lit_true t else lit_false t
 
 let fresh t = Lit.make (Sat.new_var t.sat) true
 
-let gate t key mk =
-  match Hashtbl.find_opt t.gate_memo key with
+let li l = (l : Lit.t :> int)
+let pack x y = (li x lsl 31) lor li y
+
+let pair_gate t memo x y mk =
+  let key = pack x y in
+  match Int_tbl.find_opt memo key with
   | Some l -> l
   | None ->
       let l = mk () in
       t.n_gates <- t.n_gates + 1;
-      Hashtbl.add t.gate_memo key l;
+      Int_tbl.add memo key l;
       l
-
-let li l = (l : Lit.t :> int)
 
 let and_gate t a b =
   if is_false t a || is_false t b then lit_false t
@@ -78,7 +99,7 @@ let and_gate t a b =
   else if a = Lit.neg b then lit_false t
   else begin
     let x, y = if li a < li b then (a, b) else (b, a) in
-    gate t ("and", li x, li y, 0) (fun () ->
+    pair_gate t t.and_memo x y (fun () ->
         let o = fresh t in
         Sat.add_clause t.sat [ Lit.neg o; x ];
         Sat.add_clause t.sat [ Lit.neg o; y ];
@@ -97,7 +118,7 @@ let xor_gate t a b =
   else if a = Lit.neg b then lit_true t
   else begin
     let x, y = if li a < li b then (a, b) else (b, a) in
-    gate t ("xor", li x, li y, 0) (fun () ->
+    pair_gate t t.xor_memo x y (fun () ->
         let o = fresh t in
         Sat.add_clause t.sat [ Lit.neg o; x; y ];
         Sat.add_clause t.sat [ Lit.neg o; Lit.neg x; Lit.neg y ];
@@ -115,8 +136,11 @@ let mux_gate t c a b =
   else if a = b then a
   else if is_true t a && is_false t b then c
   else if is_false t a && is_true t b then Lit.neg c
-  else
-    gate t ("mux", li c, li a, li b) (fun () ->
+  else begin
+    let key = (li c, pack a b) in
+    match Pair_tbl.find_opt t.mux_memo key with
+    | Some l -> l
+    | None ->
         let o = fresh t in
         Sat.add_clause t.sat [ Lit.neg c; Lit.neg a; o ];
         Sat.add_clause t.sat [ Lit.neg c; a; Lit.neg o ];
@@ -125,7 +149,10 @@ let mux_gate t c a b =
         (* Redundant but propagation-strengthening clauses. *)
         Sat.add_clause t.sat [ Lit.neg a; Lit.neg b; o ];
         Sat.add_clause t.sat [ a; b; Lit.neg o ];
-        o)
+        t.n_gates <- t.n_gates + 1;
+        Pair_tbl.add t.mux_memo key o;
+        o
+  end
 
 let and_reduce t lits = Array.fold_left (and_gate t) (lit_true t) lits
 
@@ -312,14 +339,8 @@ let extract_model t =
   let bvs = Hashtbl.create 64 in
   Hashtbl.iter
     (fun name lits ->
-      let w = Array.length lits in
-      let v = ref (Bitvec.zero w) in
-      Array.iteri
-        (fun i l ->
-          if lit_model_value t l then
-            v := Bitvec.logor !v (Bitvec.shift_left (Bitvec.of_int ~width:w 1) i))
-        lits;
-      Hashtbl.replace bvs name !v)
+      Hashtbl.replace bvs name
+        (Bitvec.init (Array.length lits) (fun i -> lit_model_value t lits.(i))))
     t.bv_vars;
   let bools = Hashtbl.create 16 in
   Hashtbl.iter (fun name l -> Hashtbl.replace bools name (lit_model_value t l)) t.bool_vars;

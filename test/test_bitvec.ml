@@ -358,6 +358,13 @@ let prop_shifts_ref =
       Bitvec.equal (Bitvec.shift_left v k) (ref_shift_left v k)
       && Bitvec.equal (Bitvec.shift_right v k) (ref_shift_right v k))
 
+let prop_init_ref =
+  QCheck.Test.make ~name:"init = bit-loop of_bits" ~count:300
+    (QCheck.make ~print:pp_bv gen_wbv)
+    (fun v ->
+      let b = bits v in
+      Bitvec.equal (Bitvec.init (Array.length b) (Array.get b)) (of_bits b))
+
 let prop_hex_ref =
   QCheck.Test.make ~name:"to_hex_string = bit-loop hex" ~count:300
     (QCheck.make ~print:pp_bv gen_wbv)
@@ -425,7 +432,7 @@ let props =
       prop_lognot_involution; prop_de_morgan; prop_concat_extract;
       prop_bin_roundtrip; prop_hex_roundtrip; prop_compare_total;
       prop_shift_add; prop_prefix_matches_canonical; prop_concat_ref; prop_extract_ref;
-      prop_shifts_ref; prop_hex_ref; prop_bytes_ref; prop_read_ref; prop_write_ref ]
+      prop_init_ref; prop_shifts_ref; prop_hex_ref; prop_bytes_ref; prop_read_ref; prop_write_ref ]
 
 let () =
   Alcotest.run "bitvec"
