@@ -59,7 +59,7 @@ let catalog =
     ("smt.unsat", "SMT checks that returned unsat.");
     ("smt.clauses_reused", "Learned clauses carried across incremental checks.");
     ("smt.incremental_hits", "Checks served from an incrementally-reused solver state.");
-    ("smt.solver_reseeds", "Solver restarts after an incremental state went stale.");
+    ("smt.search_resets", "Incremental solver search states reset to a fresh solver's, one per goal group (learned clauses dropped, branching heuristic restarted).");
     ("switch.inject", "Duration of injecting one packet into the switch stack.");
     ("switch.packets_injected", "Test packets injected into the switch stack.");
     ("switch.packet_out", "Duration of one controller packet-out.");

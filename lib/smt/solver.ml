@@ -323,6 +323,10 @@ let pop t =
 
 let scope_depth t = List.length t.scopes
 
+let reset_search t =
+  Sat.reset_search t.sat;
+  Telemetry.incr (Telemetry.get ()) "smt.search_resets"
+
 type model = {
   bv : string -> Bitvec.t option;
   bool : string -> bool option;

@@ -32,6 +32,13 @@ val pop : t -> unit
 
 val scope_depth : t -> int
 
+val reset_search : t -> unit
+(** Put the SAT core back in a fresh solver's search state (see
+    {!Sat.reset_search}): learned clauses are dropped and the branching
+    heuristic starts over, while every blasted clause, the Tseitin memos
+    and the open scopes stay. Verdicts and canonical models do not change;
+    only the work the next checks do. Counted as [smt.search_resets]. *)
+
 type model = {
   bv : string -> Bitvec.t option;   (** value of a bitvector variable *)
   bool : string -> bool option;     (** value of a boolean variable *)

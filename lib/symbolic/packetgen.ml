@@ -450,39 +450,24 @@ let generate ?(index_offset = 0) ?cache ?(incremental = true)
       let packets, solver_stats =
         if incremental then begin
           (* One solver for the whole goal list: the encoding bit-blasts
-             once, learned clauses persist across goals, and each group's
-             shared guard prefix is asserted once in a push scope.
+             once, goals share its learned clauses within a group, and each
+             group's shared guard prefix is asserted once in a push scope.
 
-             The shared solver accumulates Tseitin gates for every goal's
-             unique guard structure, and a solve assigns every variable in
-             the database — so an unboundedly shared solver makes each
-             check dearer than the last (quadratic over a long campaign).
-             Re-seeding a fresh solver once the variable count outgrows the
-             base encoding bounds the accumulation; canonical witness
+             Each group starts from a fresh solver's search state (learned
+             clauses dropped, VSIDS activities and phases reset) while the
+             blasted clauses stay: a long-lived solver's activities drift
+             apart and make its heap work grow, and a fresh solver per
+             group would re-blast the whole encoding. Canonical witness
              extraction makes the reset points invisible in the results. *)
-          let solver = ref (Solver.create ()) in
-          assert_base !solver enc;
-          let sat_vars s =
-            Option.value ~default:0 (List.assoc_opt "sat_vars" (Solver.stats s))
-          in
-          let base_vars = sat_vars !solver in
-          let retired = ref [] in
-          let reseed_if_grown () =
-            if sat_vars !solver > 3 * base_vars + 512 then begin
-              Telemetry.incr tele "smt.solver_reseeds";
-              retired := sum_stats !retired (Solver.stats !solver);
-              solver := Solver.create ();
-              assert_base !solver enc
-            end
-          in
+          let solver = Solver.create () in
+          assert_base solver enc;
           let items =
             List.mapi (fun i goal -> (i, goal, Term.flatten_conj goal.goal_cond)) goals
           in
           let packets =
             List.concat_map
               (fun { gr_prefix; gr_members } ->
-                reseed_if_grown ();
-                let solver = !solver in
+                Solver.reset_search solver;
                 Solver.push solver;
                 Fun.protect
                   ~finally:(fun () -> Solver.pop solver)
@@ -504,7 +489,7 @@ let generate ?(index_offset = 0) ?cache ?(incremental = true)
                       gr_members))
               (group_goals items)
           in
-          (packets, sum_stats !retired (Solver.stats !solver))
+          (packets, Solver.stats solver)
         end
         else begin
           (* Scratch mode (the bench baseline, and the reference for the

@@ -70,6 +70,34 @@ let test_sat_assumptions () =
   (* Solver still usable after assumption failure. *)
   check_bool "still sat without assumptions" true (Sat.solve s = Sat.Sat)
 
+let test_sat_reset_search () =
+  (* Pigeonhole 5 into 4, every clause guarded by a selector: unsat under
+     the selector, sat without it, and refuting it takes learning. *)
+  let s = Sat.create () in
+  let sel = Sat.new_var s in
+  let guarded c = Sat.add_clause s (lit s sel false :: c) in
+  let v = Array.init 5 (fun _ -> Array.init 4 (fun _ -> Sat.new_var s)) in
+  for i = 0 to 4 do
+    guarded (List.init 4 (fun h -> lit s v.(i).(h) true))
+  done;
+  for h = 0 to 3 do
+    for i = 0 to 4 do
+      for j = i + 1 to 4 do
+        guarded [ lit s v.(i).(h) false; lit s v.(j).(h) false ]
+      done
+    done
+  done;
+  let under_sel () = Sat.solve ~assumptions:[ lit s sel true ] s in
+  check_bool "unsat under the selector" true (under_sel () = Sat.Unsat);
+  check_bool "learned clauses retained" true (Sat.num_learned s > 0);
+  let learned () = List.assoc "learned" (Sat.stats s) in
+  let learned_before = learned () in
+  Sat.reset_search s;
+  check_int "no learned clause after a reset" 0 (Sat.num_learned s);
+  check_int "learned counter kept" learned_before (learned ());
+  check_bool "still unsat under the selector" true (under_sel () = Sat.Unsat);
+  check_bool "sat without it" true (Sat.solve s = Sat.Sat)
+
 let test_sat_random_3sat_vs_bruteforce () =
   (* Cross-check on many small random 3-SAT instances. *)
   let rng = Rng.create 2022 in
@@ -375,6 +403,7 @@ let () =
          Alcotest.test_case "forced assignment" `Quick test_sat_three_coloring_like;
          Alcotest.test_case "pigeonhole unsat" `Quick test_sat_pigeonhole_3_2;
          Alcotest.test_case "assumptions" `Quick test_sat_assumptions;
+         Alcotest.test_case "reset search" `Quick test_sat_reset_search;
          Alcotest.test_case "random vs brute force" `Slow test_sat_random_3sat_vs_bruteforce ]);
       ("term",
        [ Alcotest.test_case "constant folding" `Quick test_term_const_fold;

@@ -13,7 +13,9 @@
        assumed on a shared solver, and asserted in nested push scopes on
        that shared solver, each model equal to the enumerated minimum,
      - canonical checks with part of the formula asserted in a scope, whose
-       unsat cores (with the asserted part) must be unsat by enumeration.
+       unsat cores (with the asserted part) must be unsat by enumeration,
+     - a sequence of canonical checks on a shared solver whose search state
+       is reset before each, every answer equal to a fresh solver's.
 
    Satisfying models are re-evaluated concretely (and [Solver.check_models]
    is on for the whole suite, so the solver additionally self-checks every
@@ -308,6 +310,55 @@ let prop_cone f =
         (Printf.sprintf "cone restriction not implied by the original: %s"
            (Qgen.to_string f'))
 
+(* Search resets: one shared solver answers a sequence of canonical checks
+   — [f] assumed whole, its first conjunct scoped with the rest assumed,
+   its conjuncts in nested scopes, and its negation assumed — with
+   [Solver.reset_search] before each. The solver keeps every clause blasted
+   for earlier formulas and checks; each answer must equal, verdict and
+   model, a fresh solver's canonical check of the same constraints. *)
+let shared_reset = Solver.create ()
+
+let assignment_of (m : Solver.model) =
+  { Qgen.a_bv =
+      List.map
+        (fun (n, w) -> (n, Option.value ~default:(Bitvec.zero w) (m.Solver.bv n)))
+        Qgen.bv_universe;
+    a_bool =
+      List.map (fun n -> (n, Option.value ~default:false (m.Solver.bool n)))
+        Qgen.bool_universe }
+
+let prop_reset f =
+  let s = shared_reset in
+  let first, rest =
+    match Term.flatten_conj f with [] -> (Term.tru, []) | c :: rest -> (c, rest)
+  in
+  let queries =
+    [ ("assumed", f, fun () -> Solver.check ~assumptions:[ f ] ~canonical s);
+      ( "scoped and assumed", f,
+        fun () -> in_scope s first (fun () -> Solver.check ~assumptions:rest ~canonical s) );
+      ( "nested scopes", f,
+        fun () ->
+          in_scope s first (fun () ->
+              in_scope s (Term.conj rest) (fun () -> Solver.check ~canonical s)) );
+      ("negation assumed", Term.not_ f,
+        fun () -> Solver.check ~assumptions:[ Term.not_ f ] ~canonical s) ]
+  in
+  List.find_map
+    (fun (tag, meaning, query) ->
+      Solver.reset_search s;
+      let got = query () in
+      let fresh =
+        let s = Solver.create () in
+        Solver.assert_formula s meaning;
+        Solver.check ~canonical s
+      in
+      match (fresh, got) with
+      | Solver.Unsat, Solver.Unsat -> None
+      | Solver.Sat m, Solver.Sat m' -> canonical_mismatch tag (assignment_of m) m'
+      | Solver.Unsat, Solver.Sat _ -> Some (tag ^ ": SAT after a reset, fresh solver UNSAT")
+      | Solver.Sat _, Solver.Unsat -> Some (tag ^ ": UNSAT after a reset, fresh solver SAT"))
+    queries
+
 (* --- Alcotest wiring ------------------------------------------------------ *)
 
 let test_verdicts () =
@@ -327,6 +378,9 @@ let test_preprocess () =
 let test_cone () =
   run_property ~name:"cone of influence" ~seed:(seed + 3) ~count prop_cone
 
+let test_reset () =
+  run_property ~name:"search resets" ~seed:(seed + 2) ~count prop_reset
+
 (* Time-boxed randomized soak: keeps drawing fresh seeds until the budget
    runs out. Off by default (SWITCHV_QGEN_SOAK_MS=0) so dune runtest stays
    deterministic; make check-smt runs it with a couple of seconds. *)
@@ -340,7 +394,9 @@ let test_soak () =
     run_property ~name:"soak canonical" ~seed:(round_seed + 7919) ~count:10
       prop_canonical;
     run_property ~name:"soak canonical unsat cores" ~seed:(round_seed + 1299709)
-      ~count:10 prop_core_canonical
+      ~count:10 prop_core_canonical;
+    run_property ~name:"soak search resets" ~seed:(round_seed + 15485863)
+      ~count:10 prop_reset
   done
 
 let () =
@@ -355,5 +411,7 @@ let () =
             test_core_canonical;
           Alcotest.test_case "preprocess preserves every assignment" `Quick
             test_preprocess;
-          Alcotest.test_case "cone restriction is implied" `Quick test_cone ] );
+          Alcotest.test_case "cone restriction is implied" `Quick test_cone;
+          Alcotest.test_case "search resets match a fresh solver" `Quick
+            test_reset ] );
       ("soak", [ Alcotest.test_case "randomized soak" `Slow test_soak ]) ]

@@ -18,6 +18,8 @@ module Figure2 = Switchv_sai.Figure2
 module Middleblock = Switchv_sai.Middleblock
 module Cerberus = Switchv_sai.Cerberus
 module Workload = Switchv_sai.Workload
+module Wan = Switchv_sai.Wan
+module Telemetry = Switchv_telemetry.Telemetry
 
 let check_bool = Alcotest.check Alcotest.bool
 let check_int = Alcotest.check Alcotest.int
@@ -432,30 +434,60 @@ let test_port_cycling () =
    byte-identical result — ports, bytes, verdicts, order. Canonical
    (lexicographically minimal) witness models are what make this hold; it
    is also why [incremental] needs no spot in the cache key. *)
-let test_incremental_matches_scratch () =
+let coverage_goals program ~seed =
+  let entries = Workload.generate ~seed program Workload.small in
+  let enc = Symexec.encode program entries in
+  (enc, Packetgen.entry_coverage_goals enc @ Packetgen.branch_coverage_goals enc)
+
+let check_same_packets ~(scr : Packetgen.result) ~(inc : Packetgen.result) =
+  check_int "same packet count" (List.length scr.packets) (List.length inc.packets);
+  List.iter2
+    (fun (a : Packetgen.test_packet) (b : Packetgen.test_packet) ->
+      Alcotest.check Alcotest.string "goal order" a.tp_goal b.tp_goal;
+      check_int (a.tp_goal ^ " port") a.tp_port b.tp_port;
+      check_bool (a.tp_goal ^ " bytes identical") true (a.tp_bytes = b.tp_bytes))
+    scr.packets inc.packets;
+  check_int "covered identical" scr.covered inc.covered;
+  check_int "uncoverable identical" scr.uncoverable inc.uncoverable
+
+let with_model_checks f =
   Switchv_smt.Solver.check_models := true;
-  Fun.protect
-    ~finally:(fun () -> Switchv_smt.Solver.check_models := false)
-    (fun () ->
-      let entries = Workload.generate ~seed:4 Middleblock.program Workload.small in
-      let enc = Symexec.encode Middleblock.program entries in
-      let goals =
-        Packetgen.entry_coverage_goals enc
-        @ Packetgen.branch_coverage_goals enc
-      in
+  Fun.protect ~finally:(fun () -> Switchv_smt.Solver.check_models := false) f
+
+let test_incremental_matches_scratch () =
+  with_model_checks (fun () ->
+      let enc, goals = coverage_goals Middleblock.program ~seed:4 in
       let inc = Packetgen.generate ~incremental:true enc goals in
       let scr = Packetgen.generate ~incremental:false enc goals in
-      check_int "same packet count" (List.length scr.packets)
-        (List.length inc.packets);
-      List.iter2
-        (fun (a : Packetgen.test_packet) (b : Packetgen.test_packet) ->
-          Alcotest.check Alcotest.string "goal order" a.tp_goal b.tp_goal;
-          check_int (a.tp_goal ^ " port") a.tp_port b.tp_port;
-          check_bool (a.tp_goal ^ " bytes identical") true
-            (a.tp_bytes = b.tp_bytes))
-        scr.packets inc.packets;
-      check_int "covered identical" scr.covered inc.covered;
-      check_int "uncoverable identical" scr.uncoverable inc.uncoverable)
+      check_same_packets ~scr ~inc)
+
+(* One incremental generate blasts the encoding once, however many goal
+   groups it solves: the two base asserts (well-formedness and the ingress
+   port) happen once, then each group resets the solver's search state and
+   asserts only its shared prefix — no fresh solver re-asserts the base.
+   The packets still equal the scratch pipeline's, one fresh solver per
+   goal. *)
+let test_one_blast_per_generate () =
+  with_model_checks (fun () ->
+      let enc, goals = coverage_goals Wan.program ~seed:7 in
+      let tele = Telemetry.create () in
+      let inc =
+        Telemetry.with_registry tele (fun () ->
+            Packetgen.generate ~incremental:true enc goals)
+      in
+      let snap = Telemetry.snapshot tele in
+      let resets =
+        Option.value ~default:0 (List.assoc_opt "smt.search_resets" snap.snap_counters)
+      in
+      let asserts =
+        match List.assoc_opt "smt.assert" snap.snap_histograms with
+        | Some h -> h.hs_count
+        | None -> 0
+      in
+      check_bool "several goal groups" true (resets >= 3);
+      check_int "base once, then one prefix per group" (2 + resets) asserts;
+      let scr = Packetgen.generate ~incremental:false enc goals in
+      check_same_packets ~scr ~inc)
 
 let () =
   Alcotest.run "symbolic"
@@ -483,4 +515,6 @@ let () =
          Alcotest.test_case "port cycling" `Quick test_port_cycling ]);
       ("incremental",
        [ Alcotest.test_case "matches scratch byte-for-byte" `Quick
-           test_incremental_matches_scratch ]) ]
+           test_incremental_matches_scratch;
+         Alcotest.test_case "one blast per generate" `Quick
+           test_one_blast_per_generate ]) ]
