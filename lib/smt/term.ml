@@ -368,201 +368,6 @@ let flatten_conj formula =
   in
   List.rev (go [] formula)
 
-(* --- preprocessing ---------------------------------------------------------------- *)
-
-(* Lift a comparison against a constant through an if-then-else mux:
-   [ite(c,a,b) OP k] becomes [if c then a OP k else b OP k], which folds
-   whenever a branch is constant. p4-symbolic's match guards compare
-   [ite(valid, field, 0)] muxes against entry constants, so this is the
-   transformation that lets the constant entry data reach the folding smart
-   constructors before bit-blasting spends mux gates on it. Only fires when
-   one side is a constant, so no subterm is duplicated. *)
-let rec lift_cmp mk a b =
-  match (a, b) with
-  | Bv_ite (c, x, y), Bv_const _ -> bite c (lift_cmp mk x b) (lift_cmp mk y b)
-  | Bv_const _, Bv_ite (c, x, y) -> bite c (lift_cmp mk a x) (lift_cmp mk a y)
-  | _ -> mk a b
-
-let needs_lift a b =
-  match (a, b) with
-  | Bv_ite _, Bv_const _ | Bv_const _, Bv_ite _ -> true
-  | _ -> false
-
-(* Rebuild a term bottom-up through the smart constructors, substituting
-   bound variables and lifting constant comparisons. Physically shared
-   subterms are rewritten once (memo on identity, shared across all terms
-   passed to the returned function), and a node whose children are unchanged
-   is returned as-is, so sharing survives the pass — the blaster's memo
-   tables keep hitting across formulas that share structure. *)
-let rewriter ~bv_bind ~bool_bind =
-  let memo_bv = Phys.create 64 in
-  let memo_bool = Phys.create 64 in
-  let rec rw_bv t =
-    let key = Obj.repr t in
-    match Phys.find_opt memo_bv key with
-    | Some r -> r
-    | None ->
-        let r =
-          match t with
-          | Bv_const _ -> t
-          | Bv_var (name, w) -> (
-              match bv_bind name with
-              | Some c when Bitvec.width c = w -> Bv_const c
-              | _ -> t)
-          | Bv_not a -> let a' = rw_bv a in if a' == a then t else bvnot a'
-          | Bv_neg a -> let a' = rw_bv a in if a' == a then t else bvneg a'
-          | Bv_and (a, b) -> bin t bvand a b
-          | Bv_or (a, b) -> bin t bvor a b
-          | Bv_xor (a, b) -> bin t bvxor a b
-          | Bv_add (a, b) -> bin t bvadd a b
-          | Bv_sub (a, b) -> bin t bvsub a b
-          | Bv_mul (a, b) -> bin t bvmul a b
-          | Bv_concat (a, b) -> bin t concat a b
-          | Bv_extract (hi, lo, a) ->
-              let a' = rw_bv a in
-              if a' == a then t else extract ~hi ~lo a'
-          | Bv_zero_ext (w, a) ->
-              let a' = rw_bv a in
-              if a' == a then t else zero_ext w a'
-          | Bv_ite (c, a, b) ->
-              let c' = rw_bool c and a' = rw_bv a and b' = rw_bv b in
-              if c' == c && a' == a && b' == b then t else ite c' a' b'
-        in
-        Phys.add memo_bv key r;
-        r
-  and bin t mk a b =
-    let a' = rw_bv a and b' = rw_bv b in
-    if a' == a && b' == b then t else mk a' b'
-  and cmp t mk a b =
-    let a' = rw_bv a and b' = rw_bv b in
-    if a' == a && b' == b && not (needs_lift a' b') then t
-    else lift_cmp mk a' b'
-  and rw_bool t =
-    let key = Obj.repr t in
-    match Phys.find_opt memo_bool key with
-    | Some r -> r
-    | None ->
-        let r =
-          match t with
-          | B_true | B_false -> t
-          | B_var name -> (
-              match bool_bind name with
-              | Some v -> if v then B_true else B_false
-              | None -> t)
-          | B_eq (a, b) -> cmp t eq a b
-          | B_ult (a, b) -> cmp t ult a b
-          | B_ule (a, b) -> cmp t ule a b
-          | B_not a -> let a' = rw_bool a in if a' == a then t else not_ a'
-          | B_and (a, b) ->
-              let a' = rw_bool a and b' = rw_bool b in
-              if a' == a && b' == b then t else and_ a' b'
-          | B_or (a, b) ->
-              let a' = rw_bool a and b' = rw_bool b in
-              if a' == a && b' == b then t else or_ a' b'
-          | B_ite (c, a, b) ->
-              let c' = rw_bool c and a' = rw_bool a and b' = rw_bool b in
-              if c' == c && a' == a && b' == b then t else bite c' a' b'
-        in
-        Phys.add memo_bool key r;
-        r
-  in
-  rw_bool
-
-(* Top-level conjuncts of the forms [x = const] / [b] / [!b] define their
-   variable. The defining conjunct is kept verbatim (so models are
-   preserved) while every other occurrence of the variable is replaced by
-   the constant. Conflicting definitions keep the first; the substituted
-   second then folds to [false] on its own. *)
-let collect_bindings conjuncts =
-  let bv_tbl : (string, Bitvec.t) Hashtbl.t = Hashtbl.create 8 in
-  let bool_tbl : (string, bool) Hashtbl.t = Hashtbl.create 8 in
-  let definers = Phys.create 8 in
-  let define_bv name c definer =
-    if not (Hashtbl.mem bv_tbl name) then begin
-      Hashtbl.add bv_tbl name c;
-      Phys.replace definers (Obj.repr definer) ()
-    end
-  in
-  let define_bool name v definer =
-    if not (Hashtbl.mem bool_tbl name) then begin
-      Hashtbl.add bool_tbl name v;
-      Phys.replace definers (Obj.repr definer) ()
-    end
-  in
-  List.iter
-    (fun conjunct ->
-      match conjunct with
-      | B_eq (Bv_var (name, w), Bv_const c) | B_eq (Bv_const c, Bv_var (name, w)) ->
-          if Bitvec.width c = w then define_bv name c conjunct
-      | B_var name -> define_bool name true conjunct
-      | B_not (B_var name) -> define_bool name false conjunct
-      | _ -> ())
-    conjuncts;
-  (bv_tbl, bool_tbl, definers)
-
-(* Cone-of-influence: drop top-level conjuncts whose variable-connectivity
-   component is disjoint from [roots]. Sound for models and for SAT
-   verdicts only when every dropped conjunct group is independently
-   satisfiable (e.g. constraints over auxiliary free variables); the caller
-   owns that invariant — packet generation never passes [roots] for the
-   formulas it extracts models from. *)
-let restrict_cone ~roots conjuncts =
-  let n = List.length conjuncts in
-  let arr = Array.of_list conjuncts in
-  let vars_of i =
-    List.map fst (bv_vars arr.(i)) @ bool_vars arr.(i)
-  in
-  (* Union-find over conjunct indices, joined through shared variable names. *)
-  let parent = Array.init n (fun i -> i) in
-  let rec find i = if parent.(i) = i then i else (parent.(i) <- find parent.(i); parent.(i)) in
-  let union i j = let ri = find i and rj = find j in if ri <> rj then parent.(ri) <- rj in
-  let owner : (string, int) Hashtbl.t = Hashtbl.create 32 in
-  Array.iteri
-    (fun i _ ->
-      List.iter
-        (fun v ->
-          match Hashtbl.find_opt owner v with
-          | None -> Hashtbl.add owner v i
-          | Some j -> union i j)
-        (vars_of i))
-    arr;
-  let live = Hashtbl.create 8 in
-  List.iter
-    (fun r ->
-      match Hashtbl.find_opt owner r with
-      | Some i -> Hashtbl.replace live (find i) ()
-      | None -> ())
-    roots;
-  let kept = ref [] and dropped = ref 0 in
-  Array.iteri
-    (fun i c ->
-      if Hashtbl.mem live (find i) then kept := c :: !kept else incr dropped)
-    arr;
-  (List.rev !kept, !dropped)
-
-let preprocess ?roots formula =
-  let before = size formula in
-  let conjuncts = flatten_conj formula in
-  let bv_tbl, bool_tbl, definers = collect_bindings conjuncts in
-  let rw =
-    rewriter ~bv_bind:(Hashtbl.find_opt bv_tbl)
-      ~bool_bind:(Hashtbl.find_opt bool_tbl)
-  in
-  let conjuncts =
-    List.map
-      (fun conjunct ->
-        if Phys.mem definers (Obj.repr conjunct) then conjunct else rw conjunct)
-      conjuncts
-  in
-  let conjuncts, dropped =
-    match roots with
-    | None -> (conjuncts, 0)
-    | Some roots -> restrict_cone ~roots conjuncts
-  in
-  let result = conj conjuncts in
-  let eliminated = max 0 (before - size result) + dropped in
-  (result, eliminated)
-
 let rec pp_bv fmt = function
   | Bv_const c -> Bitvec.pp fmt c
   | Bv_var (name, w) -> Format.fprintf fmt "%s:%d" name w

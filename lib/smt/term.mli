@@ -110,28 +110,5 @@ val flatten_conj : boolean -> boolean list
 (** Top-level conjuncts of a (nested) conjunction, left to right, with
     [tru] units dropped. [conj (flatten_conj f)] is logically [f]. *)
 
-(** {1 Preprocessing}
-
-    A semantics-preserving simplification pass run before bit-blasting:
-    constant folding (terms are rebuilt through the folding smart
-    constructors), if-lifting of comparisons against constants (so entry
-    constants reach the folder through [ite(valid, field, 0)] muxes), and
-    equality propagation (a top-level conjunct [x = const] substitutes the
-    constant for [x] everywhere else; the defining conjunct itself is kept,
-    so the model set is unchanged). *)
-
-val preprocess : ?roots:string list -> boolean -> boolean * int
-(** [preprocess f] returns the simplified formula and the number of DAG
-    nodes (plus dropped conjuncts) eliminated. Without [roots] the result
-    is logically equivalent to [f] — same models, bit for bit.
-
-    With [roots], a cone-of-influence restriction additionally drops
-    top-level conjuncts whose variable-connectivity component does not reach
-    any root name. Dropping weakens the formula: it preserves satisfiability
-    and models over the root cone only when every dropped component is
-    independently satisfiable — the caller owns that invariant, so the
-    packet-generation pipeline never passes [roots] for formulas it
-    extracts witness models from. *)
-
 val pp_bv : Format.formatter -> bv -> unit
 val pp_bool : Format.formatter -> boolean -> unit

@@ -79,7 +79,7 @@ and gen_bool rng ~depth =
     | 7 -> Term.bite (sub ()) (sub ()) (sub ())
     | 8 ->
         (* A top-level-style conjunction with an equality against a
-           constant, to exercise the preprocessor's binding collector. *)
+           constant: the shape of a match guard pinning a field. *)
         let name, w = Rng.choose rng bv_universe in
         Term.and_ (Term.eq (Term.var name w) (gen_const rng w)) (sub ())
     | _ -> Term.tru

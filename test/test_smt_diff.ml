@@ -19,9 +19,7 @@
 
    Satisfying models are re-evaluated concretely (and [Solver.check_models]
    is on for the whole suite, so the solver additionally self-checks every
-   model against the original terms). The preprocessor must preserve the value of the formula
-   on every assignment, and cone-of-influence restriction must be implied
-   by the original.
+   model against the original terms).
 
    Failures shrink to a locally minimal reproducer and report the seed.
 
@@ -278,38 +276,6 @@ let prop_core_canonical f =
                  (String.concat "," (List.map string_of_int core)))
           else None)
 
-let prop_preprocess f =
-  let f', _ = Term.preprocess f in
-  let differs =
-    List.find_opt
-      (fun a ->
-        let env = Qgen.env_of a in
-        Term.eval_bool env f <> Term.eval_bool env f')
-      (Lazy.force Qgen.assignments)
-  in
-  match differs with
-  | None -> None
-  | Some _ ->
-      Some
-        (Printf.sprintf "preprocess changed the formula's value: %s"
-           (Qgen.to_string f'))
-
-let prop_cone f =
-  let f', _ = Term.preprocess ~roots:[ "x" ] f in
-  let violating =
-    List.find_opt
-      (fun a ->
-        let env = Qgen.env_of a in
-        Term.eval_bool env f && not (Term.eval_bool env f'))
-      (Lazy.force Qgen.assignments)
-  in
-  match violating with
-  | None -> None
-  | Some _ ->
-      Some
-        (Printf.sprintf "cone restriction not implied by the original: %s"
-           (Qgen.to_string f'))
-
 (* Search resets: one shared solver answers a sequence of canonical checks
    — [f] assumed whole, its first conjunct scoped with the rest assumed,
    its conjuncts in nested scopes, and its negation assumed — with
@@ -371,13 +337,6 @@ let test_core_canonical () =
   run_property ~name:"canonical unsat cores" ~seed:(seed + 5) ~count
     prop_core_canonical
 
-let test_preprocess () =
-  run_property ~name:"preprocess equivalence" ~seed:(seed + 2) ~count
-    prop_preprocess
-
-let test_cone () =
-  run_property ~name:"cone of influence" ~seed:(seed + 3) ~count prop_cone
-
 let test_reset () =
   run_property ~name:"search resets" ~seed:(seed + 2) ~count prop_reset
 
@@ -409,9 +368,6 @@ let () =
             test_canonical;
           Alcotest.test_case "canonical unsat cores are unsat" `Quick
             test_core_canonical;
-          Alcotest.test_case "preprocess preserves every assignment" `Quick
-            test_preprocess;
-          Alcotest.test_case "cone restriction is implied" `Quick test_cone;
           Alcotest.test_case "search resets match a fresh solver" `Quick
             test_reset ] );
       ("soak", [ Alcotest.test_case "randomized soak" `Slow test_soak ]) ]
