@@ -50,12 +50,31 @@ open Cmdliner
 
 (* --- exit contract ---------------------------------------------------------- *)
 
-(* A bad argument value is a usage error (usage hint printed, exit 124); a
-   run that reports incidents or fails its own check is a plain error. *)
+(* A bad argument value is a usage error (usage hint printed, exit 124,
+   cmdliner's code for command-line errors); a run that reports incidents
+   or fails its own check exits [findings], so a script can tell the two
+   apart. An uncaught exception stays 125. *)
+let findings = 1
+
+let exits =
+  Cmd.Exit.info findings
+    ~doc:
+      "on findings: incidents reported, lint errors, regressions reproduced \
+       (or not, under $(b,--expect-reproduce)), or a failed check of the \
+       command's own."
+  :: Cmd.Exit.defaults
+
 let exit_of = function
-  | Ok () -> `Ok ()
+  | Ok () -> `Ok Cmd.Exit.ok
   | Error (`Usage m) -> `Error (true, m)
-  | Error (`Fail m) -> `Error (false, m)
+  | Error (`Fail m) ->
+      Printf.eprintf "switchv: %s\n%!" m;
+      `Ok findings
+
+(* Commands with nothing to report exit 0 once they return. *)
+let no_findings term = Term.(map (fun () -> Cmd.Exit.ok) term)
+
+let fail_of = function Ok () -> Ok () | Error m -> Error (`Fail m)
 
 let ( let* ) = Result.bind
 
@@ -367,7 +386,7 @@ let validate_cmd =
   in
   let doc = "Run a full SwitchV validation (control plane + data plane)." in
   Cmd.v
-    (Cmd.info "validate" ~doc)
+    (Cmd.info "validate" ~doc ~exits)
     Term.(
       ret
         (map exit_of
@@ -427,11 +446,11 @@ let replay_cmd =
   in
   let doc =
     "Replay a regression corpus against a freshly provisioned stack. Exits \
-     non-zero when an archived divergence reproduces (or, with \
+     1 when an archived divergence reproduces (or, with \
      $(b,--expect-reproduce), when one fails to)."
   in
   Cmd.v
-    (Cmd.info "replay" ~doc)
+    (Cmd.info "replay" ~doc ~exits)
     Term.(
       ret
         (map exit_of
@@ -445,12 +464,12 @@ let fabric_cmd =
       no_packet_out jobs shards minimize evaluator trace_file corpus_file =
     match
       (try Ok (Topo.build ?spines shape switches)
-       with Invalid_argument m -> Error (`Fail m))
+       with Invalid_argument m -> Error (`Usage m))
     with
     | Error _ as e -> e
     | Ok topo ->
         if fault_switch < 0 || fault_switch >= Topo.switches topo then
-          Error (`Fail (Printf.sprintf "--fault-switch %d out of range" fault_switch))
+          Error (`Usage (Printf.sprintf "--fault-switch %d out of range" fault_switch))
         else begin
           (* Resolve fault ids against the seeded switch's own route plan
              (catalogue constructors that need entries, e.g. table names,
@@ -472,7 +491,7 @@ let fabric_cmd =
           let incidents, stats =
             with_trace trace_file (fun () -> Fabric_campaign.run ~jobs program cfg)
           in
-          let reps, clusters = Fabric_campaign.cluster incidents in
+          let reps, clusters = List.split (Report.cluster_by Fun.id incidents) in
           let report =
             { (Report.empty program.Ast.p_name) with
               Report.fabric_incidents = reps;
@@ -529,7 +548,7 @@ let fabric_cmd =
      fingerprints, per-switch coverage)."
   in
   Cmd.v
-    (Cmd.info "fabric" ~doc)
+    (Cmd.info "fabric" ~doc ~exits)
     Term.(
       ret
         (map exit_of
@@ -562,7 +581,7 @@ let fuzz_cmd =
   in
   let doc = "Run the control-plane fuzzing campaign only (p4-fuzzer + oracle)." in
   Cmd.v
-    (Cmd.info "fuzz" ~doc)
+    (Cmd.info "fuzz" ~doc ~exits)
     Term.(
       ret
         (map exit_of
@@ -630,10 +649,11 @@ let genpackets_cmd =
              stage.")
   in
   Cmd.v
-    (Cmd.info "genpackets" ~doc)
-    Term.(
-      const run $ model_arg $ seed_arg $ scale_arg $ cache_dir_arg $ verbose
-      $ trace_tables $ no_prune $ no_incremental_arg)
+    (Cmd.info "genpackets" ~doc ~exits)
+    (no_findings
+       Term.(
+         const run $ model_arg $ seed_arg $ scale_arg $ cache_dir_arg $ verbose
+         $ trace_tables $ no_prune $ no_incremental_arg))
 
 (* --- lint ------------------------------------------------------------------------ *)
 
@@ -711,10 +731,10 @@ let lint_cmd =
   let doc =
     "Statically analyse a P4 model: CFG + dataflow diagnostics (header \
      validity, reachability, constant propagation) and entry-restriction \
-     satisfiability. Exits non-zero when error-severity findings exist."
+     satisfiability. Exits 1 when error-severity findings exist."
   in
   Cmd.v
-    (Cmd.info "lint" ~doc)
+    (Cmd.info "lint" ~doc ~exits)
     Term.(
       ret
         (map exit_of (const run $ model_arg $ severity_arg $ no_restrictions $ json_arg)))
@@ -734,7 +754,7 @@ let trivial_cmd =
     Ok ()
   in
   let doc = "Run the trivial integration-test suite of the paper's Table 2." in
-  Cmd.v (Cmd.info "trivial" ~doc)
+  Cmd.v (Cmd.info "trivial" ~doc ~exits)
     Term.(ret (map exit_of (const run $ model_arg $ seed_arg $ faults_arg)))
 
 (* --- model ------------------------------------------------------------------------- *)
@@ -748,7 +768,8 @@ let model_cmd =
   let p4info_flag =
     Arg.(value & flag & info [ "p4info" ] ~doc:"Print the control-plane P4Info instead.")
   in
-  Cmd.v (Cmd.info "model" ~doc) Term.(const run $ model_arg $ p4info_flag)
+  Cmd.v (Cmd.info "model" ~doc ~exits)
+    (no_findings Term.(const run $ model_arg $ p4info_flag))
 
 (* --- metrics ------------------------------------------------------------------------- *)
 
@@ -770,7 +791,7 @@ let metrics_cmd =
     Ok ()
   in
   let doc = "Per-table OKR coverage metrics (§7): fuzz handling and packet behaviour." in
-  Cmd.v (Cmd.info "metrics" ~doc)
+  Cmd.v (Cmd.info "metrics" ~doc ~exits)
     Term.(ret (map exit_of (const run $ model_arg $ seed_arg $ faults_arg)))
 
 (* --- catalogue ----------------------------------------------------------------------- *)
@@ -800,7 +821,7 @@ let catalogue_cmd =
       & info [] ~docv:"STACK" ~doc:"pins, cerberus, or topo")
   in
   let doc = "List the seeded-bug catalogue (the paper's Table 1 population)." in
-  Cmd.v (Cmd.info "catalogue" ~doc) Term.(const run $ which)
+  Cmd.v (Cmd.info "catalogue" ~doc ~exits) (no_findings Term.(const run $ which))
 
 (* --- top ----------------------------------------------------------------------------- *)
 
@@ -923,7 +944,7 @@ let top_cmd =
   let lint_arg =
     let doc =
       "Fetch $(b,/metrics) once and check it against the Prometheus text \
-       exposition format; exit non-zero on any violation."
+       exposition format; exit 1 on any violation."
     in
     Arg.(value & flag & info [ "lint" ] ~doc)
   in
@@ -933,11 +954,13 @@ let top_cmd =
      exposition-format lint."
   in
   Cmd.v
-    (Cmd.info "top" ~doc)
+    (Cmd.info "top" ~doc ~exits)
     Term.(
-      term_result' ~usage:false
-        (const run $ host_arg $ port_arg $ interval_arg $ once_arg $ fetch_arg
-       $ lint_arg))
+      ret
+        (map
+           (fun r -> exit_of (fail_of r))
+           (const run $ host_arg $ port_arg $ interval_arg $ once_arg $ fetch_arg
+          $ lint_arg)))
 
 (* --- trace-export --------------------------------------------------------------------- *)
 
@@ -998,9 +1021,12 @@ let trace_export_cmd =
      span-id blocks) and optional conversion to Chrome trace-event format."
   in
   Cmd.v
-    (Cmd.info "trace-export" ~doc)
+    (Cmd.info "trace-export" ~doc ~exits)
     Term.(
-      term_result' ~usage:false (const run $ input_arg $ chrome_arg $ output_arg))
+      ret
+        (map
+           (fun r -> exit_of (fail_of r))
+           (const run $ input_arg $ chrome_arg $ output_arg)))
 
 let () =
   (* Ctrl-C raises [Sys.Break] so in-flight work unwinds through its
@@ -1008,9 +1034,9 @@ let () =
      closes its socket, the pool reaps its workers. *)
   Sys.catch_break true;
   let doc = "SwitchV: automated SDN switch validation with P4 models" in
-  let info = Cmd.info "switchv" ~version:"1.0.0" ~doc in
+  let info = Cmd.info "switchv" ~version:"1.0.0" ~doc ~exits in
   exit
-    (Cmd.eval
+    (Cmd.eval'
        (Cmd.group info
           [ validate_cmd; fabric_cmd; replay_cmd; fuzz_cmd; genpackets_cmd; lint_cmd;
             trivial_cmd; model_cmd; metrics_cmd; catalogue_cmd; top_cmd;

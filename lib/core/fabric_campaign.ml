@@ -12,7 +12,6 @@ module Workload = Switchv_sai.Workload
 module Packet = Switchv_packet.Packet
 module Telemetry = Switchv_telemetry.Telemetry
 module Repro = Switchv_triage.Repro
-module Fingerprint = Switchv_triage.Fingerprint
 module Jsonp = Switchv_triage.Jsonp
 module Dataplane = Switchv_oracle.Dataplane
 module Endtoend = Switchv_oracle.Endtoend
@@ -588,18 +587,3 @@ let run ?(jobs = 1) program cfg =
       fs_switch_coverage = switch_coverage }
   in
   (List.rev !incidents, stats)
-
-let cluster incidents =
-  let tele = Telemetry.get () in
-  Telemetry.incr ~n:0 tele "triage.duplicates_collapsed";
-  let groups = Fingerprint.cluster Report.fingerprint incidents in
-  Telemetry.incr tele "triage.duplicates_collapsed"
-    ~n:(List.length incidents - List.length groups);
-  let reps = List.map (fun (i, _, _) -> i) groups in
-  let clusters =
-    List.map
-      (fun (i, fp, count) ->
-        { Report.cl_fingerprint = fp; cl_count = count; cl_example = i })
-      groups
-  in
-  (reps, clusters)

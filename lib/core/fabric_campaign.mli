@@ -70,8 +70,3 @@ val run :
     [topo.sw.<i>.cov.*] re-emission) lands in
     [fs_switch_coverage]. *)
 
-val cluster :
-  Report.incident list -> Report.incident list * Report.cluster list
-(** Fingerprint-dedup (hop included): representatives plus cluster
-    summary, bumping [triage.duplicates_collapsed] like the harness
-    triage pass. *)

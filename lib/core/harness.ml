@@ -5,7 +5,6 @@ module Cache = Switchv_symbolic.Cache
 module Telemetry = Switchv_telemetry.Telemetry
 module Repro = Switchv_triage.Repro
 module Ddmin = Switchv_triage.Ddmin
-module Fingerprint = Switchv_triage.Fingerprint
 module Corpus = Switchv_triage.Corpus
 
 let ddmin_probes = 256
@@ -110,34 +109,25 @@ let run_triage mk_stack ~minimize control data =
   let tagged =
     List.map (fun i -> (`Control, i)) control @ List.map (fun i -> (`Data, i)) data
   in
-  let groups = Fingerprint.cluster (fun (_, i) -> Report.fingerprint i) tagged in
-  Telemetry.incr tele "triage.duplicates_collapsed"
-    ~n:(List.length tagged - List.length groups);
+  let groups = Report.cluster_by snd tagged in
   let groups =
     if not minimize then groups
     else
       List.map
-        (fun ((tag, (i : Report.incident)), fp, count) ->
+        (fun (((tag, (i : Report.incident)), cl) as group) ->
           match i.repro with
-          | None -> ((tag, i), fp, count)
+          | None -> group
           | Some r ->
               Telemetry.with_span tele "triage.minimize" (fun () ->
                   let r' = minimize_repro mk_stack ~max_probes:ddmin_probes r in
-                  ((tag, { i with Report.repro = Some r' }), fp, count)))
+                  let i = { i with Report.repro = Some r' } in
+                  ((tag, i), { cl with Report.cl_example = i })))
         groups
   in
   let keep tag' =
-    List.filter_map
-      (fun ((tag, i), _, _) -> if tag = tag' then Some i else None)
-      groups
+    List.filter_map (fun ((tag, i), _) -> if tag = tag' then Some i else None) groups
   in
-  let clusters =
-    List.map
-      (fun ((_, i), fp, count) ->
-        { Report.cl_fingerprint = fp; cl_count = count; cl_example = i })
-      groups
-  in
-  (keep `Control, keep `Data, clusters)
+  (keep `Control, keep `Data, List.map snd groups)
 
 let validate mk_stack config =
   let tele = Telemetry.get () in

@@ -65,6 +65,15 @@ type cluster = {
   cl_example : incident;
 }
 
+let cluster_by incident_of items =
+  let groups = Fingerprint.cluster (fun x -> fingerprint (incident_of x)) items in
+  Telemetry.incr (Telemetry.get ()) "triage.duplicates_collapsed"
+    ~n:(List.length items - List.length groups);
+  List.map
+    (fun (x, fp, count) ->
+      (x, { cl_fingerprint = fp; cl_count = count; cl_example = incident_of x }))
+    groups
+
 type control_stats = {
   cs_batches : int;
   cs_updates : int;

@@ -59,6 +59,12 @@ type cluster = {
   cl_example : incident;   (** first-seen representative *)
 }
 
+val cluster_by : ('a -> incident) -> 'a list -> ('a * cluster) list
+(** Fingerprint-dedup: group the items by their incident's fingerprint, in
+    first-seen order, each group as its first member and its cluster. Adds
+    the duplicates collapsed to [triage.duplicates_collapsed]. The one
+    clustering step of both the validation and the fabric campaigns. *)
+
 type control_stats = {
   cs_batches : int;
   cs_updates : int;
