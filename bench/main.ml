@@ -877,7 +877,7 @@ let triage_bench () =
           control = { Control_campaign.default_config with batches = 2; seed = 99 } }
       in
       let report = Harness.validate mk config in
-      let clusters = Option.value ~default:[] report.Report.clusters in
+      let clusters = report.Report.clusters in
       let miscompares =
         List.fold_left (fun a (c : Report.cluster) -> a + c.cl_count) 0 clusters
       in

@@ -496,7 +496,7 @@ let fabric_cmd =
             { (Report.empty program.Ast.p_name) with
               Report.fabric_incidents = reps;
               fabric_stats = Some stats;
-              clusters = Some clusters;
+              clusters;
               telemetry = Some (Telemetry.snapshot tele);
               coverage = Some (Coverage.of_registry tele program) }
           in

@@ -225,7 +225,7 @@ let validate mk_stack config =
     control_stats = Some control_stats;
     data_stats = Some data_stats;
     fabric_stats = None;
-    clusters = Some clusters;
+    clusters;
     telemetry = Some (Telemetry.snapshot tele);
     coverage =
       Some (Switchv_obs.Coverage.of_registry tele (Stack.program data_stack)) }

@@ -118,7 +118,7 @@ type t = {
   control_stats : control_stats option;
   data_stats : data_stats option;
   fabric_stats : fabric_stats option;
-  clusters : cluster list option;
+  clusters : cluster list;
   telemetry : Telemetry.snapshot option;
   coverage : Coverage.t option;
 }
@@ -126,7 +126,7 @@ type t = {
 let empty program_name =
   { program_name; control_incidents = []; data_incidents = [];
     fabric_incidents = []; control_stats = None; data_stats = None;
-    fabric_stats = None; clusters = None; telemetry = None; coverage = None }
+    fabric_stats = None; clusters = []; telemetry = None; coverage = None }
 
 let incidents t = t.control_incidents @ t.data_incidents @ t.fabric_incidents
 
@@ -178,22 +178,17 @@ let pp fmt t =
     Format.fprintf fmt "%d incident(s):@," (List.length all);
     List.iter (fun i -> Format.fprintf fmt "  %a@," pp_incident i) all
   end;
-  (match t.clusters with
-  | Some clusters ->
-      let miscompares =
-        List.fold_left (fun acc c -> acc + c.cl_count) 0 clusters
-      in
-      Format.fprintf fmt "triage: %d miscompare(s) in %d cluster(s)@,"
-        miscompares (List.length clusters);
-      List.iter
-        (fun c ->
-          Format.fprintf fmt "  x%-4d %s" c.cl_count c.cl_fingerprint;
-          (match c.cl_example.repro with
-          | Some r -> Format.fprintf fmt "  [%a]" Repro.pp r
-          | None -> ());
-          Format.fprintf fmt "@,")
-        clusters
-  | None -> ());
+  let miscompares = List.fold_left (fun acc c -> acc + c.cl_count) 0 t.clusters in
+  Format.fprintf fmt "triage: %d miscompare(s) in %d cluster(s)@," miscompares
+    (List.length t.clusters);
+  List.iter
+    (fun c ->
+      Format.fprintf fmt "  x%-4d %s" c.cl_count c.cl_fingerprint;
+      (match c.cl_example.repro with
+      | Some r -> Format.fprintf fmt "  [%a]" Repro.pp r
+      | None -> ());
+      Format.fprintf fmt "@,")
+    t.clusters;
   (match t.coverage with
   | Some cov -> Format.fprintf fmt "%a@," Coverage.pp cov
   | None -> ());
@@ -382,15 +377,12 @@ let to_json t =
              @ List.map (fun i -> ("data", i)) t.data_incidents
              @ List.map (fun i -> ("fabric", i)) t.fabric_incidents)) );
       ( "clusters",
-        opt
-          (fun clusters ->
-            Json.arr
-              (List.map
-                 (fun c ->
-                   Json.obj
-                     [ ("fingerprint", Json.str c.cl_fingerprint);
-                       ("count", Json.int c.cl_count) ])
-                 clusters))
-          t.clusters );
+        Json.arr
+          (List.map
+             (fun c ->
+               Json.obj
+                 [ ("fingerprint", Json.str c.cl_fingerprint);
+                   ("count", Json.int c.cl_count) ])
+             t.clusters) );
       ("telemetry", opt Telemetry.snapshot_to_json t.telemetry);
       ("coverage", opt Coverage.to_json t.coverage) ]

@@ -115,11 +115,11 @@ type t = {
   control_stats : control_stats option;
   data_stats : data_stats option;
   fabric_stats : fabric_stats option;
-  clusters : cluster list option;
-      (** Fingerprint-dedup summary, present on every harness and fabric
-          report: one cluster per distinct fingerprint, counting the raw
-          miscompares it absorbed. When present, the incident lists hold
-          one representative per cluster. *)
+  clusters : cluster list;
+      (** Fingerprint-dedup summary of every harness and fabric report:
+          one cluster per distinct fingerprint, counting the raw
+          miscompares it absorbed. The incident lists hold one
+          representative per cluster. *)
   telemetry : Telemetry.snapshot option;
       (** Counters and latency quantiles accumulated over the run, captured
           by {!Harness.validate} when it finishes. *)
@@ -184,5 +184,5 @@ val to_json : t -> string
     [{"program":…,"clean":…,"control_stats":{…}|null,
       "data_stats":{…}|null,"incidents":[{"detector":…,"kind":…,
       "detail":…,"context":{…}|null,"fingerprint":…,"repro":{…}|null},…],
-      "clusters":[{"fingerprint":…,"count":…},…]|null,
+      "clusters":[{"fingerprint":…,"count":…},…],
       "telemetry":{…}|null}]. *)

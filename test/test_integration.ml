@@ -185,7 +185,7 @@ let test_evaluator_equivalence () =
     ( List.map (Format.asprintf "%a" Report.pp_incident) incidents,
       List.map
         (fun (c : Report.cluster) -> (c.cl_fingerprint, c.cl_count))
-        (Option.value ~default:[] report.clusters),
+        report.clusters,
       List.map Corpus.record_to_json (Harness.corpus_records report faults) )
   in
   let c_incidents, c_clusters, c_corpus = observe Compile.evaluator in

@@ -397,12 +397,9 @@ let test_harness_report_identical_across_jobs () =
     (incident_json r1.Report.data_incidents)
     (incident_json r4.Report.data_incidents);
   let cluster_sigs r =
-    match r.Report.clusters with
-    | None -> []
-    | Some cs ->
-        List.map
-          (fun (c : Report.cluster) -> Printf.sprintf "%s x%d" c.cl_fingerprint c.cl_count)
-          cs
+    List.map
+      (fun (c : Report.cluster) -> Printf.sprintf "%s x%d" c.cl_fingerprint c.cl_count)
+      r.Report.clusters
   in
   check_string_list "clusters identical" (cluster_sigs r1) (cluster_sigs r4);
   check_bool "incidents present" true (Report.incidents r1 <> [])

@@ -285,11 +285,10 @@ let test_report_to_json () =
             fs_localized = 1; fs_duration = 0.02;
             fs_switch_coverage = [ (0, 26, 54); (1, 26, 54); (2, 26, 54) ] };
       clusters =
-        Some
-          [ { Report.cl_fingerprint = "p4-fuzzer|status violation|d=x";
-              cl_count = 3;
-              cl_example =
-                Report.incident Report.Fuzzer ~kind:"status violation" ~detail:"x" } ];
+        [ { Report.cl_fingerprint = "p4-fuzzer|status violation|d=x";
+            cl_count = 3;
+            cl_example =
+              Report.incident Report.Fuzzer ~kind:"status violation" ~detail:"x" } ];
       telemetry = Some (Telemetry.snapshot t);
       coverage =
         Some
