@@ -48,14 +48,14 @@ replay-corpus:
 # Parallel-determinism gate: a seeded faulty validation must archive a
 # byte-identical regression corpus at --jobs 4 and --jobs 1 (same --shards,
 # so the decomposition is fixed and only the scheduling differs), and a
-# clean parallel run must exit 0. Incident-bearing runs exit non-zero by
-# contract, so those legs are inverted with `!`.
+# clean parallel run must exit 0. Incident-bearing runs must exit 1, the
+# findings code (never 124, a usage error, or 125, a crash).
 check-parallel:
 	rm -f /tmp/swv_par_1.jsonl /tmp/swv_par_4.jsonl
-	! dune exec bin/switchv_cli.exe -- validate -m middleblock --fault PINS-019 \
-	  --batches 4 --shards 4 --jobs 1 --save-corpus /tmp/swv_par_1.jsonl >/dev/null
-	! dune exec bin/switchv_cli.exe -- validate -m middleblock --fault PINS-019 \
-	  --batches 4 --shards 4 --jobs 4 --save-corpus /tmp/swv_par_4.jsonl >/dev/null
+	dune exec bin/switchv_cli.exe -- validate -m middleblock --fault PINS-019 \
+	  --batches 4 --shards 4 --jobs 1 --save-corpus /tmp/swv_par_1.jsonl >/dev/null; test $$? -eq 1
+	dune exec bin/switchv_cli.exe -- validate -m middleblock --fault PINS-019 \
+	  --batches 4 --shards 4 --jobs 4 --save-corpus /tmp/swv_par_4.jsonl >/dev/null; test $$? -eq 1
 	cmp /tmp/swv_par_1.jsonl /tmp/swv_par_4.jsonl
 	dune exec bin/switchv_cli.exe -- validate -m middleblock \
 	  --batches 4 --shards 4 --jobs 4 >/dev/null
@@ -63,20 +63,25 @@ check-parallel:
 
 # Incremental-SMT gate, two legs. (1) The property-based differential suite
 # at its fixed seed, then a 2-second randomized soak at a fresh seed (the
-# seed is printed on failure, so a soak hit is reproducible). (2) A seeded
-# faulty validation must archive a byte-identical regression corpus with
-# the incremental pipeline on and off — canonical witness models make the
-# two solving strategies indistinguishable in every output byte.
+# seed is printed on failure, so a soak hit is reproducible). (2) On every
+# built-in model, a seeded faulty validation (findings: exit 1) must
+# archive a byte-identical regression corpus with the incremental pipeline
+# on and off — canonical witness models make the two solving strategies,
+# and the search resets between goal groups, indistinguishable in every
+# output byte.
 check-smt:
+	dune build @all
 	dune exec test/test_smt_diff.exe -- -e
 	SWITCHV_QGEN_SEED=$$$$ SWITCHV_QGEN_SOAK_MS=2000 \
 	  dune exec test/test_smt_diff.exe -- -e soak
-	rm -f /tmp/swv_smt_inc.jsonl /tmp/swv_smt_scr.jsonl
-	! dune exec bin/switchv_cli.exe -- validate -m middleblock --fault PINS-019 \
-	  --batches 4 --save-corpus /tmp/swv_smt_inc.jsonl >/dev/null
-	! dune exec bin/switchv_cli.exe -- validate -m middleblock --fault PINS-019 \
-	  --batches 4 --no-incremental --save-corpus /tmp/swv_smt_scr.jsonl >/dev/null
-	cmp /tmp/swv_smt_inc.jsonl /tmp/swv_smt_scr.jsonl
+	for m in $(MODELS); do \
+	  rm -f /tmp/swv_smt_inc.jsonl /tmp/swv_smt_scr.jsonl; \
+	  $(SWITCHV) validate -m $$m --fault PINS-019 --batches 4 \
+	    --save-corpus /tmp/swv_smt_inc.jsonl >/dev/null; test $$? -eq 1 || exit 1; \
+	  $(SWITCHV) validate -m $$m --fault PINS-019 --batches 4 --no-incremental \
+	    --save-corpus /tmp/swv_smt_scr.jsonl >/dev/null; test $$? -eq 1 || exit 1; \
+	  cmp /tmp/swv_smt_inc.jsonl /tmp/swv_smt_scr.jsonl || exit 1; \
+	done
 	rm -f /tmp/swv_smt_inc.jsonl /tmp/swv_smt_scr.jsonl
 
 # Observability gate, four legs. (1) Live exposition: a faulted sharded
@@ -117,11 +122,11 @@ check-obs:
 	wait $$pid; true
 	test -s /tmp/swv_obs_live.jsonl
 	test -z "$$(tail -c 1 /tmp/swv_obs_live.jsonl)"
-	! $(SWITCHV) validate -m middleblock --fault PINS-019 --batches 4 \
-	  --shards 4 --jobs 1 --coverage-out /tmp/swv_obs_cov1.txt >/dev/null
-	! $(SWITCHV) validate -m middleblock --fault PINS-019 --batches 4 \
+	$(SWITCHV) validate -m middleblock --fault PINS-019 --batches 4 \
+	  --shards 4 --jobs 1 --coverage-out /tmp/swv_obs_cov1.txt >/dev/null; test $$? -eq 1
+	$(SWITCHV) validate -m middleblock --fault PINS-019 --batches 4 \
 	  --shards 4 --jobs 4 --coverage-out /tmp/swv_obs_cov4.txt \
-	  --trace /tmp/swv_obs_trace.jsonl >/dev/null
+	  --trace /tmp/swv_obs_trace.jsonl >/dev/null; test $$? -eq 1
 	cmp /tmp/swv_obs_cov1.txt /tmp/swv_obs_cov4.txt
 	$(SWITCHV) trace-export --chrome -o /tmp/swv_obs_chrome.json \
 	  /tmp/swv_obs_trace.jsonl
@@ -171,13 +176,13 @@ lint-json:
 check-taint:
 	dune build @all
 	rm -f /tmp/swv_taint_on.jsonl /tmp/swv_taint_off.jsonl
-	! $(SWITCHV) validate -m figure2 --batches 4 \
-	  --save-corpus /tmp/swv_taint_on.jsonl >/dev/null
-	! $(SWITCHV) validate -m figure2 --batches 4 --no-taint \
-	  --save-corpus /tmp/swv_taint_off.jsonl >/dev/null
+	$(SWITCHV) validate -m figure2 --batches 4 \
+	  --save-corpus /tmp/swv_taint_on.jsonl >/dev/null; test $$? -eq 1
+	$(SWITCHV) validate -m figure2 --batches 4 --no-taint \
+	  --save-corpus /tmp/swv_taint_off.jsonl >/dev/null; test $$? -eq 1
 	cmp /tmp/swv_taint_on.jsonl /tmp/swv_taint_off.jsonl
 	$(SWITCHV) validate -m middleblock --batches 4 >/dev/null
-	! $(SWITCHV) validate -m middleblock --batches 4 --fault PINS-051 >/dev/null
+	$(SWITCHV) validate -m middleblock --batches 4 --fault PINS-051 >/dev/null; test $$? -eq 1
 	dune exec bench/main.exe -- quick taint
 	rm -f /tmp/swv_taint_on.jsonl /tmp/swv_taint_off.jsonl
 
@@ -190,23 +195,23 @@ check-taint:
 # forwarded the perturbed packet. The archived corpus must be
 # byte-identical at --jobs 1 and --jobs 4 (same --shards). (3) The fabric
 # bench artifact must report 100% localization accuracy over the
-# data-plane fault kinds. Incident-bearing runs exit non-zero by
-# contract, so those legs are inverted with `!`.
+# data-plane fault kinds. Incident-bearing runs must exit 1, the findings
+# code.
 check-topo:
 	dune build @all
 	for t in line star mesh leaf_spine; do \
 	  $(SWITCHV) fabric -m middleblock --topo $$t --switches 4 >/dev/null || exit 1; \
 	done
 	rm -f /tmp/swv_topo_rep.txt /tmp/swv_topo_1.jsonl /tmp/swv_topo_4.jsonl
-	! $(SWITCHV) fabric -m middleblock --topo line --switches 3 \
+	$(SWITCHV) fabric -m middleblock --topo line --switches 3 \
 	  --fault TOPO-001 --fault-switch 1 --shards 4 --jobs 1 \
-	  --save-corpus /tmp/swv_topo_1.jsonl > /tmp/swv_topo_rep.txt
+	  --save-corpus /tmp/swv_topo_1.jsonl > /tmp/swv_topo_rep.txt; test $$? -eq 1
 	grep -q 'h=sw1' /tmp/swv_topo_rep.txt
 	! grep -q 'h=sw0' /tmp/swv_topo_rep.txt
 	! grep -q 'h=sw2' /tmp/swv_topo_rep.txt
-	! $(SWITCHV) fabric -m middleblock --topo line --switches 3 \
+	$(SWITCHV) fabric -m middleblock --topo line --switches 3 \
 	  --fault TOPO-001 --fault-switch 1 --shards 4 --jobs 4 \
-	  --save-corpus /tmp/swv_topo_4.jsonl >/dev/null
+	  --save-corpus /tmp/swv_topo_4.jsonl >/dev/null; test $$? -eq 1
 	cmp /tmp/swv_topo_1.jsonl /tmp/swv_topo_4.jsonl
 	dune exec bench/main.exe -- quick fabric
 	rm -f /tmp/swv_topo_rep.txt /tmp/swv_topo_1.jsonl /tmp/swv_topo_4.jsonl
@@ -220,17 +225,17 @@ check-topo:
 # captured before the feedback loop existed. (3) Effect: the greybox bench
 # artifact must show guided probing covering strictly more model edges
 # than a budget-matched blind baseline, without losing any catalogued
-# fault. Incident-bearing runs exit non-zero by contract, hence `!`.
+# fault. Incident-bearing runs must exit 1, the findings code.
 check-greybox:
 	dune build @all
 	rm -f /tmp/swv_gb_1.jsonl /tmp/swv_gb_4.jsonl /tmp/swv_gb_off.jsonl
-	! $(SWITCHV) validate -m middleblock --fault PINS-019 \
-	  --batches 4 --shards 4 --jobs 1 --save-corpus /tmp/swv_gb_1.jsonl >/dev/null
-	! $(SWITCHV) validate -m middleblock --fault PINS-019 \
-	  --batches 4 --shards 4 --jobs 4 --save-corpus /tmp/swv_gb_4.jsonl >/dev/null
+	$(SWITCHV) validate -m middleblock --fault PINS-019 \
+	  --batches 4 --shards 4 --jobs 1 --save-corpus /tmp/swv_gb_1.jsonl >/dev/null; test $$? -eq 1
+	$(SWITCHV) validate -m middleblock --fault PINS-019 \
+	  --batches 4 --shards 4 --jobs 4 --save-corpus /tmp/swv_gb_4.jsonl >/dev/null; test $$? -eq 1
 	cmp /tmp/swv_gb_1.jsonl /tmp/swv_gb_4.jsonl
-	! $(SWITCHV) validate -m middleblock --fault PINS-019 --no-greybox \
-	  --batches 4 --shards 4 --jobs 4 --save-corpus /tmp/swv_gb_off.jsonl >/dev/null
+	$(SWITCHV) validate -m middleblock --fault PINS-019 --no-greybox \
+	  --batches 4 --shards 4 --jobs 4 --save-corpus /tmp/swv_gb_off.jsonl >/dev/null; test $$? -eq 1
 	cmp /tmp/swv_gb_off.jsonl test/fixtures/greybox_blind.golden.jsonl
 	dune exec bench/main.exe -- quick greybox
 	rm -f /tmp/swv_gb_1.jsonl /tmp/swv_gb_4.jsonl /tmp/swv_gb_off.jsonl
@@ -247,22 +252,22 @@ check-greybox:
 check-scale:
 	dune build @all
 	rm -f /tmp/swv_sc_c1.jsonl /tmp/swv_sc_c4.jsonl /tmp/swv_sc_i1.jsonl /tmp/swv_sc_i4.jsonl
-	! $(SWITCHV) validate -m middleblock --fault PINS-019 \
-	  --batches 4 --shards 4 --jobs 1 --save-corpus /tmp/swv_sc_c1.jsonl >/dev/null
-	! $(SWITCHV) validate -m middleblock --fault PINS-019 \
-	  --batches 4 --shards 4 --jobs 4 --save-corpus /tmp/swv_sc_c4.jsonl >/dev/null
-	! $(SWITCHV) validate -m middleblock --fault PINS-019 --no-compile \
-	  --batches 4 --shards 4 --jobs 1 --save-corpus /tmp/swv_sc_i1.jsonl >/dev/null
-	! $(SWITCHV) validate -m middleblock --fault PINS-019 --no-compile \
-	  --batches 4 --shards 4 --jobs 4 --save-corpus /tmp/swv_sc_i4.jsonl >/dev/null
+	$(SWITCHV) validate -m middleblock --fault PINS-019 \
+	  --batches 4 --shards 4 --jobs 1 --save-corpus /tmp/swv_sc_c1.jsonl >/dev/null; test $$? -eq 1
+	$(SWITCHV) validate -m middleblock --fault PINS-019 \
+	  --batches 4 --shards 4 --jobs 4 --save-corpus /tmp/swv_sc_c4.jsonl >/dev/null; test $$? -eq 1
+	$(SWITCHV) validate -m middleblock --fault PINS-019 --no-compile \
+	  --batches 4 --shards 4 --jobs 1 --save-corpus /tmp/swv_sc_i1.jsonl >/dev/null; test $$? -eq 1
+	$(SWITCHV) validate -m middleblock --fault PINS-019 --no-compile \
+	  --batches 4 --shards 4 --jobs 4 --save-corpus /tmp/swv_sc_i4.jsonl >/dev/null; test $$? -eq 1
 	cmp /tmp/swv_sc_c1.jsonl /tmp/swv_sc_i1.jsonl
 	cmp /tmp/swv_sc_c1.jsonl /tmp/swv_sc_c4.jsonl
 	cmp /tmp/swv_sc_i1.jsonl /tmp/swv_sc_i4.jsonl
 	rm -f /tmp/swv_sc_fc.jsonl /tmp/swv_sc_fi.jsonl
-	! $(SWITCHV) fabric -m middleblock --topo line --switches 3 \
-	  --fault TOPO-001 --fault-switch 1 --shards 4 --save-corpus /tmp/swv_sc_fc.jsonl >/dev/null
-	! $(SWITCHV) fabric -m middleblock --topo line --switches 3 --no-compile \
-	  --fault TOPO-001 --fault-switch 1 --shards 4 --save-corpus /tmp/swv_sc_fi.jsonl >/dev/null
+	$(SWITCHV) fabric -m middleblock --topo line --switches 3 \
+	  --fault TOPO-001 --fault-switch 1 --shards 4 --save-corpus /tmp/swv_sc_fc.jsonl >/dev/null; test $$? -eq 1
+	$(SWITCHV) fabric -m middleblock --topo line --switches 3 --no-compile \
+	  --fault TOPO-001 --fault-switch 1 --shards 4 --save-corpus /tmp/swv_sc_fi.jsonl >/dev/null; test $$? -eq 1
 	cmp /tmp/swv_sc_fc.jsonl /tmp/swv_sc_fi.jsonl
 	dune exec test/test_match.exe -- -e
 	dune exec bench/main.exe -- quick scale

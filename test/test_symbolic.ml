@@ -429,11 +429,6 @@ let test_port_cycling () =
   in
   Alcotest.(check (list int)) "all four ingress ports used" Packetgen.ports ports
 
-(* The incremental pipeline (shared solver, push/pop prefix scopes,
-   assumption deltas) and the per-goal scratch pipeline must produce the
-   byte-identical result — ports, bytes, verdicts, order. Canonical
-   (lexicographically minimal) witness models are what make this hold; it
-   is also why [incremental] needs no spot in the cache key. *)
 let coverage_goals program ~seed =
   let entries = Workload.generate ~seed program Workload.small in
   let enc = Symexec.encode program entries in
@@ -454,6 +449,11 @@ let with_model_checks f =
   Switchv_smt.Solver.check_models := true;
   Fun.protect ~finally:(fun () -> Switchv_smt.Solver.check_models := false) f
 
+(* The incremental pipeline (shared solver, push/pop prefix scopes,
+   assumption deltas) and the per-goal scratch pipeline must produce the
+   byte-identical result — ports, bytes, verdicts, order. Canonical
+   (lexicographically minimal) witness models are what make this hold; it
+   is also why [incremental] needs no spot in the cache key. *)
 let test_incremental_matches_scratch () =
   with_model_checks (fun () ->
       let enc, goals = coverage_goals Middleblock.program ~seed:4 in
